@@ -3,9 +3,12 @@
 Two claims: (a) a class-wide operation under granular locking takes one
 class lock instead of N object locks; (b) intention modes still allow
 object-level writers to run concurrently.  Lock-acquisition counts and
-conflict outcomes are reported alongside wall-clock costs.
+conflict outcomes are reported alongside wall-clock costs.  The MVCC
+variants (E8d, E8e) show snapshot readers taking no scan locks and
+keeping their index plans while writers commit.
 """
 
+import random
 import threading
 import time
 
@@ -235,3 +238,119 @@ def test_snapshot_readers_scan_lock_free(part_db):
         },
         db=db,
     )
+
+
+def test_snapshot_index_plans_survive_concurrent_writers():
+    """E8e: write-heavy MVCC — index plans survive a pinned snapshot.
+
+    An open stream pins a reader snapshot, so every before-image the
+    writer installs stays live, while the writer commits changes to
+    indexed keys between point lookups.  Each lookup must still run as
+    an index probe that examines only the rows it returns, and must
+    return exactly what a lock-based (``snapshot_reads=False``) database
+    given the same writes returns.  A second round runs the lookups
+    inside the transaction that pins the snapshot: each probe then adds
+    every OID moved since, and must answer with the keys as of the
+    snapshot while examining no more than its matches plus those OIDs.
+    """
+    rounds = 300
+    dbs = []
+    for snapshot_reads in (True, False):
+        db = Database(snapshot_reads=snapshot_reads)
+        db.define_class("Part", attributes=[AttributeDef("n", "Integer")])
+        oids = [db.new("Part", {"n": position}).oid for position in range(N_OBJECTS)]
+        db.create_class_index("Part", "n")
+        db.analyze()
+        dbs.append(db)
+    db, oracle = dbs
+    keys = {oid: position for position, oid in enumerate(oids)}
+    rng = random.Random(1990)
+    stream = db.select_iter("Part where n >= 0")
+    next(stream)
+    probes_before = db.metrics.counter("query.index_probes").value
+    examined = matched = 0
+    started = time.perf_counter()
+    for _ in range(rounds):
+        moves = {oid: rng.randrange(N_OBJECTS) for oid in rng.sample(oids, 2)}
+        for target in (db, oracle):
+            _commit_moves(target, moves)
+        keys.update(moves)
+        text = "Part where n = %d" % keys[rng.choice(oids)]
+        result = db.execute(text)
+        assert result.plan.access.description.startswith("index-eq"), text
+        assert [str(oid) for oid in result.oids] == [
+            str(oid) for oid in oracle.execute(text).oids
+        ], text
+        examined += result.stats.examined
+        matched += result.stats.matched
+    elapsed = time.perf_counter() - started
+    live_entries = db.version_store.entry_count
+    stream.close()
+    probes = db.metrics.counter("query.index_probes").value - probes_before
+    assert live_entries >= rounds  # the pinned snapshot kept them live
+    assert probes == rounds
+    assert examined == matched
+
+    # Pinned reader: the lookups run in the transaction that holds the
+    # snapshot, so every probe adds the OIDs moved since it opened and
+    # must still answer with the keys as of the snapshot.
+    pinned_keys = dict(keys)
+    pinned_examined = pinned_matched = 0
+    with db.transaction():
+        db.execute("Part where n = -1")  # opens the transaction's snapshot
+        for _ in range(rounds):
+            moves = {oid: rng.randrange(N_OBJECTS) for oid in rng.sample(oids, 2)}
+            writer = threading.Thread(target=_commit_moves, args=(db, moves))
+            writer.start()
+            writer.join()
+            key = pinned_keys[rng.choice(oids)]
+            changed = len(db.version_store.changed_oids(["Part"], db.txns.current.snapshot))
+            result = db.execute("Part where n = %d" % key)
+            assert result.plan.access.description.startswith("index-eq")
+            assert result.oids == sorted(
+                oid for oid, value in pinned_keys.items() if value == key
+            )
+            assert result.stats.examined <= result.stats.matched + changed
+            pinned_examined += result.stats.examined
+            pinned_matched += result.stats.matched
+        pinned_entries = db.version_store.entry_count
+    assert pinned_entries >= rounds
+    assert pinned_examined > pinned_matched  # the widened probes were exercised
+    print_table(
+        "E8e: point lookups while a pinned snapshot keeps versions live",
+        ("metric", "value"),
+        [
+            ("lookups", rounds),
+            ("index probes", probes),
+            ("rows examined", examined),
+            ("rows matched", matched),
+            ("live version entries", live_entries),
+            ("ms per round", round(elapsed * 1e3 / rounds, 3)),
+            ("pinned-reader rows examined", pinned_examined),
+            ("pinned-reader rows matched", pinned_matched),
+            ("pinned-reader live entries", pinned_entries),
+        ],
+    )
+    emit_bench_artifact(
+        "e8_snapshot_index",
+        {
+            "lookups": rounds,
+            "rows_examined": examined,
+            "rows_matched": matched,
+            "live_version_entries": live_entries,
+            "ms_per_round": elapsed * 1e3 / rounds,
+            "pinned_rows_examined": pinned_examined,
+            "pinned_rows_matched": pinned_matched,
+            "pinned_live_version_entries": pinned_entries,
+        },
+        db=db,
+    )
+    oracle.close()
+    db.close()
+
+
+def _commit_moves(db, moves):
+    """Commit ``moves`` (OID -> new key) in one transaction."""
+    with db.transaction():
+        for oid, key in moves.items():
+            db.update(oid, {"n": key})

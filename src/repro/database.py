@@ -481,22 +481,9 @@ class Database:
             exclude_classes=pruned,
             facts=facts,
             stats=self.statistics,
-            downgrade_hint=self._snapshot_downgrade_hint,
         )
         plan.rewrite = rewrite
         return plan
-
-    def _snapshot_downgrade_hint(self, scope) -> bool:
-        """Would the executor downgrade index probes over this scope?
-
-        Mirrors the executor's snapshot rule: under snapshot reads, a
-        live version entry for any scope class forces extent scans, so
-        the cost model should price index candidates as the scans they
-        would become.
-        """
-        if not self.snapshot_reads:
-            return False
-        return self.version_store.has_entries(scope)
 
     @property
     def closed(self) -> bool:
@@ -992,7 +979,6 @@ class Database:
                 exclude_classes=report.pruned_classes,
                 facts=rewritten.facts,
                 stats=self.statistics,
-                downgrade_hint=self._snapshot_downgrade_hint,
             )
         plan.rewrite = rewritten
         self._m_plans.inc()
@@ -1129,6 +1115,7 @@ class Database:
             self._deref,
             self._scan_coerced,
             self._coerce,
+            self.storage.contains,
             ephemeral=ephemeral,
         )
 
@@ -1143,7 +1130,7 @@ class Database:
 
     def _record_query_stats(
         self,
-        prepared_plan: Plan,
+        plan: Plan,
         pipeline,
         source: Optional[str],
         seconds: float,
@@ -1156,27 +1143,25 @@ class Database:
         views and hand-built plans carry no rewrite and are skipped —
         observing the statistics must not perturb them.
         """
-        executed = getattr(pipeline, "plan", prepared_plan)
-        rewrite = getattr(executed, "rewrite", None)
+        rewrite = getattr(plan, "rewrite", None)
         if rewrite is None or pipeline is None:
             return
         self.query_stats.record(
             rewrite.fingerprint,
-            executed.query.target_class,
+            plan.query.target_class,
             source,
             seconds,
             pipeline.examined,
             pipeline.matched,
             pipeline.index_probes,
-            cache_hit=bool(executed.cached),
-            downgraded=executed is not prepared_plan,
+            cache_hit=bool(plan.cached),
             waits=waits,
             epoch_token=(self.schema.version, self.indexes.epoch),
         )
         # Estimated-vs-actual row totals: the ratio of these counters is
         # the cost model's aggregate estimation error (EXPLAIN shows the
         # per-query version via SysQueryStat).
-        cost = getattr(prepared_plan, "cost", None)
+        cost = getattr(plan, "cost", None)
         if cost is not None and cost.mode == "statistics":
             self._m_cost_estimated_rows.inc(int(round(cost.estimated_rows)))
             self._m_cost_actual_rows.inc(pipeline.matched)
@@ -1207,8 +1192,6 @@ class Database:
             finally:
                 self._close_query_snapshot(snapshot)
             if analyze:
-                # result.plan, not the prepared plan: snapshot execution
-                # may have downgraded an index probe to an extent scan.
                 result.analysis = operator_tree(result.plan, result.pipeline)
             if is_system:
                 # Statistics rows carry no OIDs: nothing to filter, and

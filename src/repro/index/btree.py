@@ -138,6 +138,45 @@ class BTree:
             leaf = leaf.next
             idx = 0
 
+    def next_group(
+        self, after: Optional[Tuple[int, Any]], descending: bool = False
+    ) -> Optional[Tuple[Tuple[int, Any], List[Entry]]]:
+        """The first (normalized key, entries) pair past ``after``.
+
+        Ascending, that is the smallest key above ``after``; descending,
+        the largest key below it; ``after=None`` starts at that end.  The
+        key keeps its type rank, so it orders against
+        :func:`normalize_key` of any value, OIDs included.  Each call is
+        one root-to-leaf descent, so a walk that resumes by key is not
+        thrown off by splits or removals between its calls.
+        """
+        if descending:
+            return self._last_below(self._root, after)
+        if after is None:
+            leaf: Optional[_Leaf] = self._leftmost_leaf()
+            idx = 0
+        else:
+            leaf = self._find_leaf(after)
+            idx = bisect.bisect_right(leaf.keys, after)
+        while leaf is not None:
+            if idx < len(leaf.keys):
+                return leaf.keys[idx], list(leaf.values[idx])
+            leaf, idx = leaf.next, 0
+        return None
+
+    def _last_below(self, node: Any, bound: Optional[Tuple[int, Any]]):
+        """The largest (key, entries) under ``node`` with key < ``bound``."""
+        idx = len(node.keys) if bound is None else bisect.bisect_left(node.keys, bound)
+        if isinstance(node, _Leaf):
+            return (node.keys[idx - 1], list(node.values[idx - 1])) if idx else None
+        # children[i] holds keys >= keys[i - 1]: only i <= idx can hold
+        # one below the bound.  Leaves emptied by removals are skipped.
+        for child in reversed(node.children[: idx + 1]):
+            found = self._last_below(child, bound)
+            if found is not None:
+                return found
+        return None
+
     def iter_keys(self) -> Iterator[Any]:
         for key, _entries in self.range():
             yield key

@@ -11,7 +11,10 @@ A nested-attribute index on ``Vehicle.manufacturer.location`` maps the
 to maintenance: updating an intermediate object (a Company's location)
 must fix the keys of every target whose path traverses it.  The index
 keeps a dependency map (intermediate OID -> dependent target OIDs) to
-make that incremental.
+make that incremental.  The same map keeps probes exact under an MVCC
+snapshot: the dependents of every intermediate changed since the
+snapshot began join the probe's candidates
+(:func:`~repro.query.operators.pipeline.snapshot_candidates`).
 """
 
 from __future__ import annotations
@@ -181,6 +184,20 @@ class NestedAttributeIndex(Index):
         self._keys_by_target.clear()
         self._deps.clear()
         self._deps_by_target.clear()
+
+    def intermediate_classes(self) -> Set[str]:
+        """Classes whose instances can sit mid-path: the hierarchy of
+        every non-terminal step's domain."""
+        classes: Set[str] = set()
+        current = self.target_class
+        for attr_name in self.path[:-1]:
+            current = self.schema.attribute(current, attr_name).domain
+            classes.update(self.schema.hierarchy_of(current))
+        return classes
+
+    def dependents(self, intermediate: OID) -> Set[OID]:
+        """Targets whose *current* path passes through ``intermediate``."""
+        return set(self._deps.get(intermediate, ()))
 
     def dependency_count(self) -> int:
         return sum(len(targets) for targets in self._deps.values())

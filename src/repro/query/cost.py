@@ -30,10 +30,7 @@ Selectivity estimation:
 
 Cost units: one sequential page read costs :data:`PAGE_COST` row
 examinations; an index match is a random object fetch (one page touch
-per row) after :data:`BTREE_DESCEND_PAGES` to walk the tree.  A
-snapshot-downgrade hint (live version entries in scope) re-costs every
-index candidate at extent-scan cost, because that is what the executor
-would actually run.
+per row) after :data:`BTREE_DESCEND_PAGES` to walk the tree.
 
 The model never runs on facts it cannot trust: the planner falls back
 to its live-count heuristics when the catalog is missing, when
@@ -338,14 +335,11 @@ class CostModel:
         scope: Set[str],
         facts: Any = None,
         ordered: Any = None,
-        downgrade: bool = False,
     ) -> CostDecision:
         """Cost every candidate and pick the cheapest.
 
         ``ordered`` is the planner's (already soundness-checked)
-        :class:`~repro.query.planner.IndexOrderScan` candidate or None;
-        ``downgrade`` reports that the executor would downgrade index
-        probes to extent scans (live snapshot version entries in scope).
+        :class:`~repro.query.planner.IndexOrderScan` candidate or None.
         """
         schema_version = self.stats.schema_version
         index_epoch = self.stats.index_epoch
@@ -414,19 +408,6 @@ class CostModel:
                     % (expected, query.limit),
                 )
             )
-
-        if downgrade:
-            # The executor would run every index candidate as an extent
-            # scan (live version entries in scope) — cost them as what
-            # they would actually execute as, so the scan wins outright.
-            for candidate in candidates:
-                if candidate.kind != "extent-scan":
-                    candidate.pages = scan_pages
-                    candidate.rows = total_rows
-                    candidate.note = (
-                        "snapshot version entries in scope: would execute "
-                        "as an extent scan"
-                    )
 
         chosen = min(
             candidates,

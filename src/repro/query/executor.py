@@ -20,7 +20,7 @@ from ..obs.metrics import MetricsRegistry
 from .ast import AdtPredicate, Query
 from .operators import ObjectKernel, Pipeline, compile_plan
 from .paths import Deref
-from .planner import EmptyScan, ExtentScan, Plan, SystemScan
+from .planner import Plan
 
 ScanClass = Callable[[str], Iterable[ObjectState]]
 Sender = Callable[..., Any]
@@ -115,52 +115,20 @@ class Executor:
         self._m_examined = registry.counter("query.rows_examined")
         self._m_matched = registry.counter("query.rows_matched")
         self._m_probes = registry.counter("query.index_probes")
-        self._m_downgrades = registry.counter("txn.snapshot.plan_downgrades")
 
     def pipeline(self, plan: Plan, snapshot=None) -> Pipeline:
         """Compile (but do not open) the physical pipeline for a plan.
 
         With a :class:`~repro.versions.store.SnapshotView`, the leaf
         scan and every dereference resolve through the snapshot instead
-        of current storage, and the plan may first be downgraded (see
-        :meth:`_snapshot_plan`).  Callers that need the actually-compiled
-        plan read it back off ``Pipeline.plan``.
+        of current storage, and index access paths widen their
+        candidates so they stay exact under it (see
+        :func:`~repro.query.operators.compile_plan`).
         """
         if snapshot is None:
             return compile_plan(plan, self.kernel, self._scan_class)
-        plan = self._snapshot_plan(plan, snapshot)
         kernel = ObjectKernel(snapshot.deref, self._send, self._adt_eval)
-        return compile_plan(plan, kernel, snapshot.scan)
-
-    def _snapshot_plan(self, plan: Plan, snapshot) -> Plan:
-        """Make a plan safe to run against a snapshot.
-
-        Indexes reflect *current* values, so an index probe can miss
-        objects whose indexed attribute changed after the snapshot's
-        begin timestamp (false negatives — unfixable downstream; the
-        filter's full-predicate re-check only removes false positives).
-        Whenever the version store holds any entry for a class in scope,
-        index and ADT access paths are downgraded to a plain extent scan
-        resolved through the snapshot.  With no version entries the
-        indexes are exact for this snapshot and the plan runs as-is.
-        """
-        if isinstance(plan.access, (ExtentScan, EmptyScan, SystemScan)):
-            return plan
-        if not snapshot.has_version_entries(plan.scope):
-            return plan
-        downgraded = Plan(
-            plan.query,
-            plan.scope,
-            ExtentScan(sorted(plan.scope)),
-            plan.query.where,
-            plan.estimated_cost,
-            notes=list(plan.notes)
-            + ["snapshot: index access downgraded to extent scan"],
-        )
-        downgraded.rewrite = plan.rewrite
-        downgraded.cached = plan.cached
-        self._m_downgrades.inc()
-        return downgraded
+        return compile_plan(plan, kernel, snapshot.scan, versions=snapshot)
 
     def execute(
         self, plan: Plan, timed: bool = False, snapshot=None
@@ -169,7 +137,6 @@ class Executor:
         per-stage wall-clock (EXPLAIN ANALYZE reads it off the chain).
         """
         pipeline = self.pipeline(plan, snapshot=snapshot)
-        plan = pipeline.plan
         query = plan.query
         if timed:
             pipeline.set_timed()

@@ -9,10 +9,11 @@ operator state instead of re-instrumenting the run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...core.oid import OID
 from ...errors import QueryError
+from ...index.nested import NestedAttributeIndex
 from ..planner import (
     AdtIndexProbe,
     EmptyScan,
@@ -117,10 +118,66 @@ class Pipeline:
         return "<Pipeline %s>" % " -> ".join(op.name for op in self.operators())
 
 
-def compile_plan(plan: Plan, kernel, scan_class) -> Pipeline:
-    """Compile a plan into a pipeline over ``kernel``-typed rows."""
+def snapshot_candidates(
+    fetch: Callable[[], Sequence[OID]], scope: Set[str], versions, index=None
+) -> Callable[[], Sequence[OID]]:
+    """Wrap an index probe so its candidates are exact under a snapshot.
+
+    An index holds current values, which is the snapshot state of every
+    object without an invisible version entry.  The others — the OIDs
+    ``versions.changed(scope)`` names — are added to the probe's result;
+    each candidate then resolves through the snapshot and the filter
+    re-checks the full predicate, so no plan is rewritten to a scan.
+
+    A nested-attribute index keys each target by its whole path, so
+    targets whose path runs through a changed intermediate are added
+    too: the index's dependents of every changed object in the path's
+    intermediate classes.  When such an intermediate is gone from
+    storage its former dependents are unknown, and that probe's
+    candidates become every OID the snapshot sees in scope.
+
+    The added set is read before and after the probe, so a writer that
+    installs (or aborts and unlinks) a version entry while the probe
+    runs is caught by one of the two reads.
+    """
+    if versions is None:
+        return fetch
+
+    def added() -> Optional[Set[OID]]:
+        extra = versions.changed(scope)
+        if isinstance(index, NestedAttributeIndex):
+            for oid in versions.changed(index.intermediate_classes()):
+                if not versions.exists(oid):
+                    return None
+                extra |= index.dependents(oid)
+        return extra
+
+    def run() -> Sequence[OID]:
+        before = added()
+        found = fetch()
+        after = added()
+        if before is None or after is None:
+            return [
+                state.oid for cls in sorted(scope) for state in versions.scan(cls)
+            ]
+        if not before and not after:
+            return found
+        return sorted(before.union(found, after))
+
+    return run
+
+
+def compile_plan(plan: Plan, kernel, scan_class, versions=None) -> Pipeline:
+    """Compile a plan into a pipeline over ``kernel``-typed rows.
+
+    ``versions`` is the query's
+    :class:`~repro.versions.store.SnapshotView` when it reads from an
+    MVCC snapshot: every index access path then stays exact under it
+    (:func:`snapshot_candidates`, :class:`IndexOrderScanOp`).
+    """
     query = plan.query
     access = plan.access
+    scope = plan.scope
     probe: Optional[PhysicalOperator] = None
 
     if isinstance(access, ExtentScan):
@@ -131,51 +188,21 @@ def compile_plan(plan: Plan, kernel, scan_class) -> Pipeline:
         # System views scan generated rows; ``scan_class`` here is the
         # system catalog's row producer, not the storage extent walker.
         source = VirtualScanOp(scan_class, access.view)
-    elif isinstance(access, IndexEqProbe):
-        probe = IndexProbeOp(
-            "eq",
-            lambda: access.index.lookup_eq(access.value, plan.scope),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
-    elif isinstance(access, IndexInProbe):
-        probe = IndexProbeOp(
-            "in",
-            lambda: access.index.lookup_in(access.values, plan.scope),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
-    elif isinstance(access, IndexRangeProbe):
-        probe = IndexProbeOp(
-            "range",
-            lambda: access.index.lookup_range(
-                access.low,
-                access.high,
-                access.include_low,
-                access.include_high,
-                plan.scope,
-            ),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
-    elif isinstance(access, AdtIndexProbe):
-        probe = IndexProbeOp(
-            "adt",
-            lambda: sorted(
-                {oid for oid in access.probe() if isinstance(oid, OID)}
-            ),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
     elif isinstance(access, IndexOrderScan):
-        probe = IndexOrderScanOp(access.index, plan.scope, access.descending)
+        probe = IndexOrderScanOp(access.index, scope, access.descending, versions)
         source = DerefOp(probe, kernel.deref)
     else:
-        raise QueryError("unknown access path %r" % (access,))
+        kind, fetch = _probe_fetch(access, scope)
+        probe = IndexProbeOp(
+            kind,
+            snapshot_candidates(fetch, scope, versions, getattr(access, "index", None)),
+            access.description,
+        )
+        source = DerefOp(probe, kernel.deref)
 
     # The FULL predicate is re-checked — index probes give candidates,
     # not answers; current state decides.
-    filter_op = FilterOp(source, kernel, plan.scope, query.where)
+    filter_op = FilterOp(source, kernel, scope, query.where)
     root: PhysicalOperator = filter_op
 
     if query.aggregates:
@@ -209,3 +236,20 @@ def compile_plan(plan: Plan, kernel, scan_class) -> Pipeline:
         plan, root, source, probe=probe, filter=filter_op, sort=sort_op,
         limit=limit_op, project=project_op,
     )
+
+
+def _probe_fetch(access, scope: Set[str]) -> Tuple[str, Callable[[], Sequence[OID]]]:
+    """(probe kind, candidate fetch) of an index or ADT access path."""
+    if isinstance(access, IndexEqProbe):
+        return "eq", lambda: access.index.lookup_eq(access.value, scope)
+    if isinstance(access, IndexInProbe):
+        return "in", lambda: access.index.lookup_in(access.values, scope)
+    if isinstance(access, IndexRangeProbe):
+        return "range", lambda: access.index.lookup_range(
+            access.low, access.high, access.include_low, access.include_high, scope
+        )
+    if isinstance(access, AdtIndexProbe):
+        return "adt", lambda: sorted(
+            {oid for oid in access.probe() if isinstance(oid, OID)}
+        )
+    raise QueryError("unknown access path %r" % (access,))

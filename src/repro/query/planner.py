@@ -221,7 +221,6 @@ class Planner:
         exclude_classes: Sequence[str] = (),
         facts=None,
         stats=None,
-        downgrade_hint=None,
     ) -> Plan:
         """Choose an access path.
 
@@ -235,10 +234,6 @@ class Planner:
         planner falls back to its live-count heuristics; either way the
         resulting :class:`~repro.query.cost.CostDecision` rides on
         ``plan.cost`` for EXPLAIN and the plan cache.
-
-        ``downgrade_hint`` (bool or ``callable(scope) -> bool``) tells
-        the cost model that the executor would downgrade index probes to
-        extent scans (live snapshot version entries in scope).
         """
         # System statistics views bypass schema validation entirely: they
         # are not classes, have no hierarchy, no extents and no indexes.
@@ -297,7 +292,7 @@ class Planner:
 
         decision = None
         if stats is not None:
-            decision = self._cost_decision(query, scope, facts, stats, downgrade_hint)
+            decision = self._cost_decision(query, scope, facts, stats)
         if decision is not None and decision.mode == "statistics":
             return self._plan_from_decision(query, scope, decision, base_notes)
         if decision is not None:
@@ -366,9 +361,7 @@ class Planner:
 
     # -- cost-model path ---------------------------------------------------
 
-    def _cost_decision(
-        self, query: Query, scope: Set[str], facts, stats, downgrade_hint
-    ):
+    def _cost_decision(self, query: Query, scope: Set[str], facts, stats):
         """Run the cost model, or explain why it must stand down."""
         from .cost import CostDecision, CostModel
 
@@ -389,16 +382,11 @@ class Planner:
             page_size=self.page_size,
             adt_registry=self.adt_registry,
         )
-        if callable(downgrade_hint):
-            downgrade = bool(downgrade_hint(scope))
-        else:
-            downgrade = bool(downgrade_hint)
         return model.decide(
             query,
             scope,
             facts=facts,
             ordered=self._ordered_scan_candidate(query, scope),
-            downgrade=downgrade,
         )
 
     def _plan_from_decision(

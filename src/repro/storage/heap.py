@@ -8,7 +8,7 @@ and gives the clustering policy (experiment E6) a meaningful notion of
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..errors import PageFullError, StorageError
 from .buffer import BufferPool
@@ -47,6 +47,8 @@ class HeapFile:
         self.buffer = buffer
         self.name = name
         self.page_ids: List[int] = list(page_ids or [])
+        #: ``page_ids`` as a set: O(1) ownership checks on every access.
+        self._page_set: Set[int] = set(self.page_ids)
 
     # -- placement ----------------------------------------------------------
 
@@ -69,12 +71,11 @@ class HeapFile:
         experiment E6 measures).  Unhinted inserts append to the tail
         page, allocating a new one when full.
         """
-        if near is not None and near.page_id in set(self.page_ids):
+        if near is not None and near.page_id in self._page_set:
             rid = self._try_insert(near.page_id, record)
             if rid is not None:
                 return rid
-            page_id = self.buffer.new_page()
-            self.page_ids.append(page_id)
+            page_id = self._new_page()
             rid = self._try_insert(page_id, record)
             if rid is None:
                 raise StorageError(
@@ -85,14 +86,19 @@ class HeapFile:
             rid = self._try_insert(self.page_ids[-1], record)
             if rid is not None:
                 return rid
-        page_id = self.buffer.new_page()
-        self.page_ids.append(page_id)
+        page_id = self._new_page()
         rid = self._try_insert(page_id, record)
         if rid is None:
             raise StorageError(
                 "record of %d bytes does not fit an empty page" % len(record)
             )
         return rid
+
+    def _new_page(self) -> int:
+        page_id = self.buffer.new_page()
+        self.page_ids.append(page_id)
+        self._page_set.add(page_id)
+        return page_id
 
     # -- access ---------------------------------------------------------------
 
@@ -127,7 +133,7 @@ class HeapFile:
                 yield RID(page_id, slot), body
 
     def _check_owned(self, rid: RID) -> None:
-        if rid.page_id not in set(self.page_ids):
+        if rid.page_id not in self._page_set:
             raise StorageError(
                 "RID %r does not belong to heap %r" % (rid, self.name)
             )

@@ -94,11 +94,35 @@ def recover(
     report = RecoveryReport()
     if registry is not None:
         registry.counter("recovery.runs").inc()
-    records = list(wal.replay())
+    # Start from the last checkpoint: earlier records are already durable
+    # in the data pages (checkpoint = flush + truncate is the normal path,
+    # but a checkpoint record without truncation is also honoured).  The
+    # log is decoded twice instead of kept as a record list, so recovery
+    # holds only the losers' decoded mutations (each pass still reads the
+    # log file whole).
 
-    # Phase 0: physical repair.  Re-extend the file over any allocations
-    # the crash reverted, then re-image pages whose checksums fail from
-    # the newest PAGE_IMAGE each page has in the companion log.
+    # Pass 1: analysis.
+    start = 0
+    seen: Set[int] = set()
+    finished: Set[int] = set()
+    for position, record in enumerate(wal.replay()):
+        if record.record_type == CHECKPOINT:
+            start = position + 1
+            seen.clear()
+            finished.clear()
+            report.winners.clear()
+        elif record.record_type == BEGIN:
+            seen.add(record.txn_id)
+        elif record.record_type == COMMIT:
+            report.winners.add(record.txn_id)
+            finished.add(record.txn_id)
+        elif record.record_type == ABORT:
+            finished.add(record.txn_id)
+    report.losers = seen - finished
+
+    # Physical repair, before any redo.  Re-extend the file over any
+    # allocations the crash reverted, then re-image pages whose checksums
+    # fail from the newest PAGE_IMAGE each page has in the companion log.
     images: Dict[int, bytes] = {}
     for record in wal.page_images():
         images[record.page_id] = record.page_data
@@ -110,30 +134,11 @@ def recover(
         registry.counter("recovery.pages_reimaged").inc(report.pages_reimaged)
         registry.counter("recovery.pages_reallocated").inc(report.pages_reallocated)
 
-    # Start from the last checkpoint: earlier records are already durable
-    # in the data pages (checkpoint = flush + truncate is the normal path,
-    # but a checkpoint record without truncation is also honoured).
-    start = 0
-    for position, record in enumerate(records):
-        if record.record_type == CHECKPOINT:
-            start = position + 1
-    records = records[start:]
-
-    # Pass 1: analysis.
-    seen: Set[int] = set()
-    finished: Set[int] = set()
-    for record in records:
-        if record.record_type == BEGIN:
-            seen.add(record.txn_id)
-        elif record.record_type == COMMIT:
-            report.winners.add(record.txn_id)
-            finished.add(record.txn_id)
-        elif record.record_type == ABORT:
-            finished.add(record.txn_id)
-    report.losers = seen - finished
-
     # Pass 2: redo (repeat history in log order).
-    for record in records:
+    loser_mutations: List[LogRecord] = []
+    for position, record in enumerate(wal.replay(quiet=True)):
+        if position < start:
+            continue
         if record.record_type == INSERT and record.after is not None:
             _apply_insert(storage, record.after)
             report.redone += 1
@@ -143,16 +148,16 @@ def recover(
         elif record.record_type == DELETE and record.before is not None:
             _apply_delete(storage, record.before)
             report.redone += 1
+        if record.txn_id in report.losers and record.record_type in (
+            INSERT,
+            UPDATE,
+            DELETE,
+        ):
+            loser_mutations.append(record)
 
     # Pass 3: undo losers, newest-first.  Aborted transactions already
     # compensated before their ABORT record, and their compensations were
     # regular logged mutations replayed by redo, so only losers remain.
-    loser_mutations: List[LogRecord] = [
-        record
-        for record in records
-        if record.txn_id in report.losers
-        and record.record_type in (INSERT, UPDATE, DELETE)
-    ]
     for record in reversed(loser_mutations):
         if record.record_type == INSERT and record.after is not None:
             _apply_delete(storage, record.after)

@@ -198,10 +198,10 @@ class WriteAheadLog:
                 open(self.pages_path, "ab"), "wal-pages:%s" % self.pages_path, registry
             )
             # Count pre-existing records so LSNs keep increasing.  A
-            # corrupt log is not fatal at open time — recovery's explicit
-            # replay() reports it to the caller.
+            # corrupt log is not fatal at open time, and a torn tail is
+            # not noted here — recovery's explicit replay() reports both.
             try:
-                for _ in self.replay():
+                for _ in self.replay(quiet=True):
                     pass
             except RecoveryError:
                 pass
@@ -391,35 +391,38 @@ class WriteAheadLog:
 
     # -- reading ------------------------------------------------------------
 
-    def replay(self) -> Iterator[LogRecord]:
+    def replay(self, quiet: bool = False) -> Iterator[LogRecord]:
         """All intact records, oldest first.
 
         A torn final record (partial frame or CRC mismatch at the tail)
         ends iteration silently — that is the crash case WAL is designed
-        for.  Corruption *before* the tail raises RecoveryError.
+        for.  Corruption *before* the tail raises RecoveryError.  A torn
+        tail is counted and traced unless ``quiet`` (a second pass over
+        a log already read once).
         """
         if self._file is None:
             yield from list(self._records)
             return
         with self._wal_mutex:
             self._file.flush()
+        note = self._note_torn_tail if not quiet else lambda *_args: None
         lsn = 0
         with open(self.path, "rb") as handle:
             data = handle.read()
         pos = 0
         while pos < len(data):
             if pos + _FRAME.size > len(data):
-                self._note_torn_tail(self.path, pos, len(data), "torn frame header")
+                note(self.path, pos, len(data), "torn frame header")
                 break
             crc, length, record_type, txn_id = _FRAME.unpack_from(data, pos)
             frame_end = pos + _FRAME.size + length
             if frame_end > len(data):
-                self._note_torn_tail(self.path, pos, len(data), "torn payload")
+                note(self.path, pos, len(data), "torn payload")
                 break
             payload = data[pos + _FRAME.size : frame_end]
             if zlib.crc32(payload + bytes([record_type])) != crc:
                 if frame_end == len(data):
-                    self._note_torn_tail(self.path, pos, len(data), "checksum mismatch")
+                    note(self.path, pos, len(data), "checksum mismatch")
                     break
                 raise RecoveryError("corrupt log record at offset %d" % pos)
             if record_type not in _TYPE_NAMES:

@@ -109,15 +109,18 @@ class VersionStore:
         #: Newest-first before-image chains.
         self._chains: Dict[OID, List[_Entry]] = {}
         #: Class name -> OIDs with live chain entries (scan resurrection
-        #: and the index-downgrade test both key on class).
+        #: and the snapshot index-candidate rule both key on class).
         self._by_class: Dict[str, Set[OID]] = {}
-        #: Uncommitted entries per writer, install order.
-        self._txn_entries: Dict[int, List[_Entry]] = {}
+        #: Uncommitted entries per writer, keyed by OID in install order.
+        self._txn_entries: Dict[int, Dict[OID, _Entry]] = {}
         self._snapshots: Dict[int, Snapshot] = {}
         self._next_snapshot_id = 1
         #: The commit horizon: timestamp of the newest committed write.
         self._last_commit_ts = 0
         self._entry_count = 0
+        #: Bumped whenever an entry is installed or unlinked, so a
+        #: long-lived reader can tell whether its changed-OID set moved.
+        self._generation = 0
         registry = registry if registry is not None else MetricsRegistry(enabled=False)
         self._m_opened = registry.counter("txn.snapshot.opened")
         self._m_closed = registry.counter("txn.snapshot.closed")
@@ -145,15 +148,15 @@ class VersionStore:
         its commit timestamp, so intermediate states are never needed.
         """
         with self._store_mutex:
-            mine = self._txn_entries.setdefault(txn_id, [])
-            for entry in mine:
-                if entry.oid == oid:
-                    return
+            mine = self._txn_entries.setdefault(txn_id, {})
+            if oid in mine:
+                return
             entry = _Entry(txn_id, oid, class_name, before)
             self._chains.setdefault(oid, []).insert(0, entry)
             self._by_class.setdefault(class_name, set()).add(oid)
-            mine.append(entry)
+            mine[oid] = entry
             self._entry_count += 1
+            self._generation += 1
             self._m_entries.set(self._entry_count)
 
     def commit(self, txn_id: int) -> Optional[int]:
@@ -170,7 +173,7 @@ class VersionStore:
                 return None
             self._last_commit_ts += 1
             ts = self._last_commit_ts
-            for entry in entries:
+            for entry in entries.values():
                 entry.commit_ts = ts
             if not self._snapshots:
                 self._reclaim_locked(self._last_commit_ts)
@@ -182,7 +185,7 @@ class VersionStore:
             entries = self._txn_entries.pop(txn_id, None)
             if not entries:
                 return
-            for entry in entries:
+            for entry in entries.values():
                 self._unlink_locked(entry)
             self._m_entries.set(self._entry_count)
 
@@ -261,16 +264,31 @@ class VersionStore:
                 out.append(state)
         return out
 
-    def has_entries(self, classes) -> bool:
-        """True when any class in ``classes`` has live version entries.
+    def changed_oids(self, classes, snapshot: Snapshot) -> Set[OID]:
+        """OIDs of ``classes`` whose state under ``snapshot`` may differ
+        from their current stored state.
 
-        The executor's index-path guard: an index reflects *current*
-        attribute values, so whenever in-scope before-images exist a
-        probe could miss objects the snapshot must see — the plan is
-        downgraded to an extent scan, whose resurrection pass is exact.
+        That is every chained OID whose newest entry is invisible to the
+        snapshot (neither its own write nor committed at or before its
+        timestamp): :meth:`resolve` returns the current state for every
+        other object, so an index over current values is already exact
+        for it.  The snapshot index-candidate rule adds these OIDs to
+        every probe.
         """
+        out: Set[OID] = set()
         with self._store_mutex:
-            return any(self._by_class.get(cls) for cls in classes)
+            for cls in classes:
+                for oid in self._by_class.get(cls, ()):
+                    chain = self._chains.get(oid)
+                    if not chain:
+                        continue
+                    newest = chain[0]
+                    if newest.txn_id == snapshot.txn_id:
+                        continue
+                    if newest.commit_ts is not None and newest.commit_ts <= snapshot.ts:
+                        continue
+                    out.add(oid)
+        return out
 
     # -- garbage collection ----------------------------------------------------
 
@@ -305,6 +323,7 @@ class VersionStore:
             return
         chain.remove(entry)
         self._entry_count -= 1
+        self._generation += 1
         if not chain:
             del self._chains[entry.oid]
             by_class = self._by_class.get(entry.class_name)
@@ -322,6 +341,12 @@ class VersionStore:
     @property
     def last_commit_ts(self) -> int:
         return self._last_commit_ts
+
+    @property
+    def generation(self) -> int:
+        """Count of entry installs and unlinks so far: while it stands
+        still, :meth:`changed_oids` returns the same set."""
+        return self._generation
 
     def snapshot_rows(self) -> Iterator[Dict[str, Any]]:
         """SysSnapshot rows: one per live snapshot, fresh per scan."""
@@ -348,12 +373,13 @@ class SnapshotView:
 
     Wraps a :class:`Snapshot` together with the database's storage
     callables (passed in by the owner — this module never reaches into
-    the database) and exposes exactly the two hooks the physical
-    operators need: :meth:`deref` for probe/path dereferencing and
-    :meth:`scan` for extent scans, both resolving visibility through
-    the store.  ``ephemeral`` marks per-query snapshots the query path
-    must close itself (transaction-bound snapshots are closed when the
-    transaction finishes).
+    the database) and exposes the hooks the physical operators need:
+    :meth:`deref` for probe/path dereferencing and :meth:`scan` for
+    extent scans, both resolving visibility through the store, plus
+    :meth:`changed` and :meth:`exists`, from which index probes build
+    their snapshot candidate sets.  ``ephemeral`` marks per-query
+    snapshots the query path must close itself (transaction-bound
+    snapshots are closed when the transaction finishes).
     """
 
     def __init__(
@@ -363,12 +389,15 @@ class SnapshotView:
         deref: Callable[[OID], Optional[ObjectState]],
         scan: Callable[[str], Iterator[ObjectState]],
         coerce: Callable[[ObjectState], ObjectState],
+        exists: Callable[[OID], bool],
         ephemeral: bool = False,
     ) -> None:
         self.store = store
         self.snapshot = snapshot
         self._base_deref = deref
         self._base_scan = scan
+        #: Is the OID in current storage (no load, no decode)?
+        self.exists = exists
         self._coerce = coerce
         self.ephemeral = ephemeral
 
@@ -392,8 +421,14 @@ class SnapshotView:
         for state in self.store.resurrected(class_name, self.snapshot, seen):
             yield self._coerce(state)
 
-    def has_version_entries(self, classes) -> bool:
-        return self.store.has_entries(classes)
+    def changed(self, classes) -> Set[OID]:
+        """OIDs of ``classes`` whose snapshot state may differ from
+        their current state (see :meth:`VersionStore.changed_oids`)."""
+        return self.store.changed_oids(classes, self.snapshot)
+
+    def generation(self) -> int:
+        """The store's :attr:`VersionStore.generation`."""
+        return self.store.generation
 
     def __repr__(self) -> str:
         return "<SnapshotView %r%s>" % (

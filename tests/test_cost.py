@@ -219,23 +219,27 @@ class TestCostDecisions:
         # sel(a=5) = 1/100; sel(b=1) has no index -> default 0.1.
         assert decision.estimated_rows == pytest.approx(100 * 0.01 * 0.1)
 
-    def test_snapshot_downgrade_hint_prices_probe_as_scan(self):
+    def test_live_version_entries_keep_the_index_plan(self):
         db = _db(list(range(100)))
         db.analyze()
         with db.transaction():
             items = db.select("Item where a = 0")
-            db.update(items[0].oid, {"a": 1000})
-            # Version entries are live inside the transaction: a fresh
-            # plan must price the index probe at scan cost and scan.
+            db.update(items[0].oid, {"a": 7})
+            # Version entries are live inside the transaction; the plan
+            # does not depend on them: the probe still wins on its cost.
+            assert db.version_store.entry_count > 0
             db.plan_cache.clear()
             plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-            assert isinstance(plan.access, ExtentScan)
+            assert isinstance(plan.access, IndexEqProbe)
             probe = [c for c in plan.cost.candidates if c.kind == "index-eq"][0]
-            assert "would execute as an extent scan" in probe.note
-        # After commit the entries are reclaimed; the probe wins again.
-        db.plan_cache.clear()
-        plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert isinstance(plan.access, IndexEqProbe)
+            scan = [c for c in plan.cost.candidates if c.kind == "extent-scan"][0]
+            assert probe.total < scan.total
+            assert not probe.note
+            # Read-your-own-writes through the probe: both a = 7 rows.
+            result = db.execute("SELECT i FROM Item i WHERE i.a = 7")
+            assert isinstance(result.plan.access, IndexEqProbe)
+            assert sorted(db.get_state(oid).values["a"] for oid in result.oids) == [7, 7]
+            assert result.stats.examined == 2
 
 
 # -- staleness ---------------------------------------------------------------

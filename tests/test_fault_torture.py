@@ -235,6 +235,29 @@ class TestChecksumAndRepair:
         assert reimaged == [1]
         recovered.close()
 
+    def test_torn_wal_tail_noted_once_per_recovery(self, tmp_path):
+        path = str(tmp_path / "torn.pages")
+        _setup(path)
+        db = _fresh_db(path)
+        with db.transaction():
+            for i in range(5):
+                db.new("Item", {"n": i})
+        expected = current_state(db)
+        wal_path = db.wal.path
+        db.storage.pager.close()
+        db.wal.close()
+        with open(wal_path, "ab") as handle:
+            handle.write(b"\x01\x02\x03")  # a frame header cut short
+
+        recovered = Database(path)
+        assert current_state(recovered) == expected
+        torn = [
+            row["value"]
+            for row in recovered.select("SysStat where name = 'fault.wal_torn_tail'")
+        ]
+        assert torn == [1]
+        recovered.close()
+
     def test_fault_metric_family_visible_via_sysstat(self):
         db = Database()
         names = {row["name"] for row in db.select("SysStat")}

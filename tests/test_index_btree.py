@@ -160,3 +160,41 @@ class TestIterEntries:
         tree.insert(1, "A", OID(1))
         entries = list(tree.iter_entries())
         assert entries == [(1, ("A", OID(1))), (2, ("B", OID(2)))]
+
+
+class TestNextGroup:
+    def _walk(self, tree, descending):
+        keys, after = [], None
+        while True:
+            found = tree.next_group(after, descending)
+            if found is None:
+                return keys
+            after = found[0]
+            keys.append((after[1], found[1]))
+
+    def test_walks_match_range_both_ways_across_emptied_leaves(self):
+        rng = random.Random(7)
+        tree = BTree(order=4)
+        for value in range(300):
+            tree.insert(value % 120, "A", OID(value + 1))
+        # Remove whole key runs so some leaves are left empty.
+        for value in range(300):
+            if 30 <= value % 120 < 60 or rng.random() < 0.2:
+                tree.remove(value % 120, "A", OID(value + 1))
+        expected = list(tree.range())
+        assert self._walk(tree, descending=False) == expected
+        assert self._walk(tree, descending=True) == expected[::-1]
+
+    def test_resumes_past_a_key_that_is_gone(self):
+        tree = BTree(order=4)
+        for value in range(20):
+            tree.insert(value, "A", OID(value + 1))
+        tree.remove(10, "A", OID(11))
+        assert tree.next_group(normalize_key(10))[0] == normalize_key(11)
+        assert tree.next_group(normalize_key(10), descending=True)[0] == normalize_key(9)
+        assert tree.next_group(normalize_key(19)) is None
+        assert tree.next_group(normalize_key(0), descending=True) is None
+
+    def test_empty_tree(self):
+        assert BTree().next_group(None) is None
+        assert BTree().next_group(None, descending=True) is None

@@ -9,13 +9,26 @@ share WAL fsyncs without ever surfacing a commit whose covering fsync
 did not complete.
 """
 
+import contextlib
 import os
 import threading
 
 import pytest
 
 from repro import AttributeDef, Database
+from repro.adt import attach, make_rect, register_rectangle_type, register_spatial_index
+from repro.bench.schemas import build_vehicle_schema, populate_vehicles
+from repro.core.obj import ObjectState
+from repro.core.oid import OID
+from repro.query.planner import (
+    AdtIndexProbe,
+    IndexEqProbe,
+    IndexInProbe,
+    IndexOrderScan,
+    IndexRangeProbe,
+)
 from repro.txn import wal as wal_module
+from repro.versions.store import VersionStore
 
 
 def _vehicle_db(**kwargs):
@@ -166,26 +179,58 @@ class TestSnapshotReads:
         finally:
             db.close()
 
-    def test_index_probe_downgrades_when_versions_live(self):
+    def test_index_probe_stays_exact_when_versions_live(self):
         db = _vehicle_db()
         db.create_class_index("Vehicle", "weight")
         try:
-            downgrades = db.metrics.counter("txn.snapshot.plan_downgrades")
             with db.transaction():
                 assert db.execute("Vehicle where weight = 1003").oids
-                before = downgrades.value
 
                 def writer():
                     victim = db.select("Vehicle where weight = 1003")[0]
                     db.update(victim.oid, {"weight": 4444})
 
                 _in_thread(writer)
-                # The index now points 1003 -> nothing; the snapshot
-                # must still find the row via the downgraded scan.
+                # The index now points 1003 -> nothing; the probe adds
+                # the changed object and resolves it through the
+                # snapshot, so the row is still found by the probe.
+                assert db.version_store.entry_count > 0
                 result = db.execute("Vehicle where weight = 1003")
                 assert len(result.oids) == 1
-                assert downgrades.value > before
-                assert any("downgraded" in note for note in result.plan.notes)
+                assert isinstance(result.plan.access, IndexEqProbe)
+                assert result.stats.index_probes == 1
+                assert result.stats.examined == 1
+                assert not any("downgrade" in note for note in result.plan.notes)
+                assert db.execute("Vehicle where weight = 4444").oids == []
+            assert "txn.snapshot.plan_downgrades" not in db.metrics.snapshot()
+        finally:
+            db.close()
+
+    def test_plan_cached_while_versions_live_stays_an_index_plan(self):
+        """A plan cached while a version entry is live is not a scan.
+
+        Plans no longer depend on version-store state, so a point query
+        planned (and cached) under a pinned snapshot keeps probing the
+        index once the entries are reclaimed.
+        """
+        db = Database()
+        db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
+        oids = [db.new("Item", {"n": n}).oid for n in range(400)]
+        db.create_class_index("Item", "n")
+        db.analyze()
+        try:
+            stream = db.select_iter("Item where n >= 0")
+            next(stream)
+            db.update(oids[0], {"n": -1})
+            assert db.version_store.entry_count > 0
+            pinned = db.execute("Item where n = 7")
+            assert isinstance(pinned.plan.access, IndexEqProbe)
+            stream.close()
+            assert db.version_store.entry_count == 0
+            result = db.execute("Item where n = 7")
+            assert result.plan.cached
+            assert isinstance(result.plan.access, IndexEqProbe)
+            assert result.stats.examined == result.stats.matched == 1
         finally:
             db.close()
 
@@ -212,6 +257,286 @@ class TestSnapshotReads:
             assert db.version_store.entry_count == 0
         finally:
             db.close()
+
+
+def test_version_store_installs_one_entry_per_oid_and_abort_unlinks_all():
+    store = VersionStore()
+    snapshot = store.open_snapshot(None)
+    oids = [OID(n) for n in range(1, 501)]
+    for round_no in range(3):
+        for oid in oids:
+            store.record_before(7, oid, "Item", ObjectState(oid, "Item", {"n": round_no}))
+    assert store.entry_count == len(oids)
+    # The first write's before-image is the one the snapshot sees.
+    assert store.resolve(oids[3], snapshot, None).values["n"] == 0
+    assert store.changed_oids(["Item"], snapshot) == set(oids)
+    store.abort(7)
+    assert store.entry_count == 0
+    assert store.changed_oids(["Item"], snapshot) == set()
+    assert store.resolve(oids[3], snapshot, None) is None
+    store.close_snapshot(snapshot)
+
+
+def test_changed_oids_are_the_ones_a_snapshot_sees_differently():
+    store = VersionStore()
+    old = store.open_snapshot(None)
+    first, second = OID(1), OID(2)
+    store.record_before(1, first, "Item", ObjectState(first, "Item", {}))
+    store.commit(1)
+    new = store.open_snapshot(None)
+    writer = store.open_snapshot(2)
+    store.record_before(2, second, "Item", ObjectState(second, "Item", {}))
+    # Committed before ``new`` began: only ``old`` sees a different state.
+    assert store.changed_oids(["Item"], old) == {first, second}
+    assert store.changed_oids(["Item"], new) == {second}
+    # A writer reads its own writes: its current state is its snapshot's.
+    assert store.changed_oids(["Item"], writer) == set()
+    assert store.changed_oids(["Other"], old) == set()
+
+
+# -- snapshot repeatable reads on every index access path ---------------------
+
+
+def _fig1_db():
+    """Figure 1 data with hierarchy, nested and price indexes.
+
+    A few vehicles get marker weights 500-502 (the IN and range shapes)
+    and every tenth a None price (the ordered shapes' None tail).
+    """
+    db = Database()
+    build_vehicle_schema(db)
+    populate_vehicles(db, n_vehicles=120, n_companies=8, seed=1990)
+    for position, oid in enumerate(_vehicles(db)):
+        if position < 6:
+            db.update(oid, {"weight": 500 + position % 3})
+        if position % 10 == 9:
+            db.update(oid, {"price": None})
+    db.create_hierarchy_index("Vehicle", "weight")
+    db.create_hierarchy_index("Vehicle", "price")
+    db.create_nested_index("Vehicle", ["manufacturer", "location"])
+    return db
+
+
+def _vehicles(db):
+    return sorted(db.execute("SELECT v FROM Vehicle v").oids)
+
+
+def _red_db():
+    db = _vehicle_db()
+    db.create_class_index("Vehicle", "color")
+    return db
+
+
+def _cell_db():
+    db = Database()
+    register_rectangle_type(attach(db))
+    db.define_class("Cell", attributes=[AttributeDef("shape", "Rectangle")])
+    for n in range(150):
+        x, y = (n * 37) % 200, (n * 53) % 200
+        db.new("Cell", {"shape": make_rect(x, y, x + 3, y + 3)})
+    register_spatial_index(db.adt, "Cell", "shape", cell_size=16)
+    return db
+
+
+def _move_keys(attribute, inside, outside, cls="Vehicle"):
+    """Writer: move one match out, delete one, move one in, insert one."""
+
+    def write(db, query):
+        matching = db.execute(query).oids
+        everything = db.execute("SELECT x FROM %s x" % cls).oids
+        others = [oid for oid in everything if oid not in matching]
+        db.update(matching[0], {attribute: outside})
+        db.delete(matching[1])
+        db.update(others[0], {attribute: inside})
+        db.new(cls, {attribute: inside})
+
+    return write
+
+
+def _reorder_prices(db, query):
+    """Writer: shuffle keys across the ordered walk's ends and None tail."""
+    ordered = db.execute("SELECT v FROM Vehicle v ORDER BY v.price LIMIT 200").oids
+    nones = [oid for oid in ordered if db.get_state(oid).values["price"] is None]
+    db.update(ordered[0], {"price": None})
+    db.update(nones[0], {"price": 1})
+    db.update(ordered[len(ordered) - len(nones) - 1], {"price": 3})
+    db.delete(ordered[1])
+    db.new("Truck", {"price": 2, "weight": 4321})
+    db.new("Truck", {"price": None, "weight": 4321})
+
+
+def _move_company(db, query):
+    """Writer: a Detroit company leaves, another company moves in."""
+    companies = db.execute("SELECT c FROM Company c").oids
+    detroit = [c for c in companies if db.get_state(c).values["location"] == "Detroit"]
+    elsewhere = [c for c in companies if c not in detroit]
+    with db.transaction():
+        db.update(detroit[0], {"location": "Tokyo"})
+        db.update(elsewhere[0], {"location": "Detroit"})
+
+
+def _delete_company(db, query):
+    """Writer: a Detroit company is deleted out from under its vehicles."""
+    companies = db.execute("SELECT c FROM Company c WHERE c.location = 'Detroit'").oids
+    db.delete(companies[0])
+
+
+NESTED = "SELECT v FROM Vehicle v WHERE v.manufacturer.location = 'Detroit'"
+
+INDEX_SHAPES = [
+    ("class-eq", _red_db, "Vehicle where color = 'red'", IndexEqProbe,
+     _move_keys("color", "red", "green")),
+    ("hierarchy-in", _fig1_db, "SELECT v FROM Vehicle v WHERE v.weight IN (500, 501, 502)",
+     IndexInProbe, _move_keys("weight", 501, 9000)),
+    ("hierarchy-range", _fig1_db, "SELECT v FROM Vehicle v WHERE v.weight < 600",
+     IndexRangeProbe, _move_keys("weight", 550, 9000)),
+    ("order-asc", _fig1_db, "SELECT v FROM Vehicle v ORDER BY v.price LIMIT 115",
+     IndexOrderScan, _reorder_prices),
+    ("order-desc", _fig1_db, "SELECT v FROM Vehicle v ORDER BY v.price DESC LIMIT 115",
+     IndexOrderScan, _reorder_prices),
+    ("adt", _cell_db, "SELECT c FROM Cell c WHERE overlaps(c.shape, [10, 10, 40, 40])",
+     AdtIndexProbe, _move_keys("shape", [20.0, 20.0, 21.0, 21.0], [150.0, 150.0, 151.0, 151.0], "Cell")),
+    ("nested-intermediate-update", _fig1_db, NESTED, IndexEqProbe, _move_company),
+    ("nested-intermediate-delete", _fig1_db, NESTED, IndexEqProbe, _delete_company),
+]
+
+
+@pytest.mark.parametrize(
+    "build, query, access, write",
+    [shape[1:] for shape in INDEX_SHAPES],
+    ids=[shape[0] for shape in INDEX_SHAPES],
+)
+def test_snapshot_repeatable_reads_on_index_paths(build, query, access, write):
+    """Inside one transaction an indexed query returns the same rows
+    after a concurrent writer moved keys into and out of its predicate,
+    inserted and deleted — and it still runs on the index path."""
+    db = build()
+    try:
+        with db.transaction():
+            first = db.execute(query)
+            assert isinstance(first.plan.access, access)
+            _in_thread(lambda: write(db, query))
+            again = db.execute(query)
+            assert isinstance(again.plan.access, access)
+            assert again.oids == first.oids
+        # The writer did change the answer for a fresh snapshot...
+        fresh = db.execute(query)
+        assert fresh.oids != first.oids
+        assert isinstance(fresh.plan.access, access)
+        # ...and that answer matches the lock-based (non-MVCC) reader.
+        db.snapshot_reads = False
+        assert db.execute(query).oids == fresh.oids
+    finally:
+        db.close()
+
+
+def test_order_scan_merges_changed_keys_and_stops_early():
+    db = _fig1_db()
+    try:
+        with db.transaction():
+            top = db.execute("SELECT v FROM Vehicle v ORDER BY v.price LIMIT 3")
+            _in_thread(lambda: _reorder_prices(db, None))
+            again = db.execute("SELECT v FROM Vehicle v ORDER BY v.price LIMIT 3")
+            assert again.oids == top.oids
+            # The walk stopped after the LIMIT: nowhere near the extent.
+            assert again.stats.examined <= 3 + db.version_store.entry_count
+    finally:
+        db.close()
+
+
+def _move_around_cursor(db, before, pulled):
+    """Writer: move keys across an open ordered walk's cursor.
+
+    ``before`` is the walk's snapshot answer and ``pulled`` how many of
+    its rows the reader has taken; keys are borrowed from objects at
+    chosen positions so the moves work in either direction.
+    """
+    price = lambda oid: db.get_state(oid).values["price"]
+    keyed = [oid for oid in before if price(oid) is not None]
+    unkeyed = [oid for oid in before if price(oid) is None]
+    ahead = keyed[pulled:]
+    with db.transaction():
+        db.update(before[2], {"price": price(ahead[50])})  # behind -> ahead
+        db.update(ahead[30], {"price": price(before[0])})  # ahead -> behind
+        db.update(ahead[40], {"price": price(ahead[60])})  # ahead -> further
+        db.update(ahead[45], {"price": None})  # ahead -> None tail
+        db.update(unkeyed[0], {"price": price(before[1])})  # None -> behind
+        db.delete(ahead[35])
+        db.new("Truck", {"price": price(ahead[20]), "weight": 4321})
+
+
+@pytest.mark.parametrize("in_txn", [False, True], ids=["stream-snapshot", "txn-snapshot"])
+@pytest.mark.parametrize("order", ["", " DESC"], ids=["asc", "desc"])
+def test_open_order_scan_stream_stays_exact_across_commits(order, in_txn):
+    """An ordered index walk left open across client pulls returns its
+    snapshot answer while writers commit key moves around its cursor:
+    nothing twice, nothing lost, everything at its snapshot key."""
+    query = "SELECT v FROM Vehicle v ORDER BY v.price%s LIMIT 115" % order
+    db = _fig1_db()
+    try:
+        with contextlib.ExitStack() as stack:
+            if in_txn:
+                stack.enter_context(db.transaction())
+            before = db.execute(query)
+            assert isinstance(before.plan.access, IndexOrderScan)
+            pulled = 10
+            stream = db.select_iter(query)
+            got = [next(stream).oid for _ in range(pulled)]
+            _in_thread(lambda: _move_around_cursor(db, before.oids, pulled))
+            got.extend(handle.oid for handle in stream)
+            assert got == before.oids
+        assert db.execute(query).oids != before.oids
+    finally:
+        db.close()
+
+
+def test_order_scan_rechecks_a_key_moved_and_rolled_back_during_a_read():
+    """A writer moves a key into the group the walk is reading, then
+    aborts: its entry is gone before the walk re-reads the changed set,
+    so only the snapshot-key check keeps the object at its own key."""
+    query = "SELECT v FROM Vehicle v ORDER BY v.price LIMIT 115"
+    db = _fig1_db()
+    try:
+        before = db.execute(query)
+        price = lambda oid: db.get_state(oid).values["price"]
+        pulled = 10
+        assert price(before.oids[pulled - 1]) != price(before.oids[pulled])
+        victim = before.oids[60]
+        moved, release = threading.Event(), threading.Event()
+
+        def writer():
+            txn = db.transaction()
+            db.update(victim, {"price": price(before.oids[pulled])})
+            moved.set()
+            release.wait(5.0)
+            txn.abort()
+
+        thread = threading.Thread(target=writer)
+        tree = before.plan.access.index.tree
+        real_next_group = tree.next_group
+
+        def next_group(after, descending=False):
+            if thread.ident is None:  # the first read after the pulls
+                thread.start()
+                moved.wait(5.0)
+                found = real_next_group(after, descending)
+                release.set()
+                thread.join()
+                return found
+            return real_next_group(after, descending)
+
+        stream = db.select_iter(query)
+        got = [next(stream).oid for _ in range(pulled)]
+        tree.next_group = next_group
+        try:
+            got.extend(handle.oid for handle in stream)
+        finally:
+            del tree.next_group
+        assert thread.ident is not None and db.version_store.entry_count == 0
+        assert got == before.oids
+    finally:
+        db.close()
+
 
 
 class TestGroupCommit:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import AttributeDef, Database
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.errors import ObjectNotFoundError, StorageError
@@ -172,6 +173,53 @@ class TestHeapFile:
         with pytest.raises(StorageError):
             heap.read(RID(999, 0))
 
+    def test_insert_near_foreign_rid_uses_own_pages(self, heap):
+        rid = heap.insert(b"stray", near=RID(999, 0))
+        assert rid.page_id in heap.page_ids
+        assert heap.read(rid) == b"stray"
+
+    def test_foreign_rid_rejected_after_reopen_and_recovery(self, tmp_path):
+        path = str(tmp_path / "owned.db")
+        db = Database(path)
+        for name in ("A", "B"):
+            db.define_class(name, attributes=[AttributeDef("s", "String")])
+        with db.transaction():
+            for _ in range(40):
+                db.new("A", {"s": "a" * 200})
+                db.new("B", {"s": "b" * 200})
+        db.close()
+
+        def assert_owned(db):
+            heap_a = db.storage.heap_for("A")
+            heap_b = db.storage.heap_for("B")
+            for oid in db.storage.oids_of_class("B"):
+                foreign = db.storage.directory.lookup(oid).rid
+                assert heap_b.read(foreign)
+                with pytest.raises(StorageError):
+                    heap_a.read(foreign)
+                with pytest.raises(StorageError):
+                    heap_a.update(foreign, b"x")
+                with pytest.raises(StorageError):
+                    heap_a.delete(foreign)
+
+        reopened = Database(path)
+        assert_owned(reopened)
+        # Commit more rows (new pages) after the checkpoint, then crash:
+        # recovery replays them into heaps rebuilt from the catalog.
+        with reopened.transaction():
+            for _ in range(40):
+                reopened.new("B", {"s": "c" * 200})
+        reopened.storage.buffer.flush_all()
+        reopened.storage.save_metadata()
+        reopened.storage.pager.close()
+        reopened.wal.close()
+        recovered = Database(path)
+        try:
+            assert len(recovered.storage.oids_of_class("B")) == 80
+            assert_owned(recovered)
+        finally:
+            recovered.close()
+
 
 class TestSerializer:
     def test_roundtrip_all_types(self):
@@ -270,6 +318,39 @@ class TestStorageManager:
         assert reopened.load(OID(50)).values["x"] == 49
         assert reopened.directory.max_oid_value() == 50
         reopened.close()
+
+    def test_count_class_reads_the_directory_without_sorting(self, monkeypatch):
+        storage = StorageManager()
+        for value in range(30):
+            storage.store_new(ObjectState(OID(value + 1), "A" if value % 3 else "B", {}))
+
+        def materialize(_class_name):
+            raise AssertionError("count_class materialized an extent")
+
+        monkeypatch.setattr(storage.directory, "oids_of_class", materialize)
+        assert storage.count_class("A") == 20
+        assert storage.count_class("B") == 10
+        assert storage.count_class("Missing") == 0
+
+    def test_planning_and_cache_hits_never_materialize_an_extent(self, monkeypatch):
+        db = Database()
+        db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
+        for n in range(300):
+            db.new("Item", {"n": n})
+        db.create_class_index("Item", "n")
+        db.analyze()
+
+        def materialize(_class_name):
+            raise AssertionError("a point query materialized an extent")
+
+        monkeypatch.setattr(db.storage.directory, "oids_of_class", materialize)
+        planned = db.execute("Item where n = 7")
+        assert not planned.plan.cached
+        hit = db.execute("Item where n = 7")
+        assert hit.plan.cached
+        assert planned.oids == hit.oids and len(hit.oids) == 1
+        # A new constant is a new fingerprint: planned again, still O(1).
+        assert len(db.execute("Item where n = 8").oids) == 1
 
     def test_grown_record_relocation_tracked(self):
         storage = StorageManager(page_size=256)
