@@ -40,7 +40,7 @@ def sweep_db():
     for d in DISTINCTS:
         db.create_hierarchy_index("Row", "bucket_%d" % d)
     # The point of E7 since the cost model landed: the planner runs on
-    # measured statistics, not live-count heuristics.
+    # measured histograms, not the live counts it reads without ANALYZE.
     db.analyze()
     return db
 

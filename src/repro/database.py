@@ -306,9 +306,7 @@ class Database:
         #: queryable like any class through the standard pipeline.
         self.syscat = SystemCatalog(self)
         self.planner = Planner(
-            self.schema, self.indexes, self._extent_count,
-            system_catalog=self.syscat,
-            page_size=self.storage.pager.page_size,
+            self.schema, self.indexes, self.storage, system_catalog=self.syscat
         )
         #: Normalized-plan cache: hot queries skip parse/analyze/plan.
         #: Eagerly purged on schema evolution via the schema listener;
@@ -326,7 +324,7 @@ class Database:
         #: ANALYZE output (:class:`~repro.obs.stats.StatisticsCatalog`):
         #: per-class row counts/sizes and per-index histograms, set by
         #: :meth:`analyze` (or reloaded from the catalog on reopen) and
-        #: handed to the planner as inert facts for the cost model.
+        #: costed against by the planner while it is fresh.
         self.statistics = None
         # Waits recorded on a request thread inherit its trace context,
         # so SysWaitEvent rows link back to the client's trace id.
@@ -352,14 +350,15 @@ class Database:
             "rewrite.contradictions"
         )
         # Cost-model decision family (benchgate-gated): how often the
-        # statistics model vs. the live-count heuristics picked the plan,
-        # how many candidates were weighed, and the estimated-vs-actual
-        # row totals that expose systematic mis-estimation.
+        # model costed from ANALYZE statistics vs. live counts (and how
+        # often a stale catalog was bypassed for live counts), how many
+        # candidates were weighed, and the estimated-vs-actual row totals
+        # that expose systematic mis-estimation.
         self._m_cost_stats_decisions = self.metrics.counter(
             "query.cost.decisions_statistics"
         )
-        self._m_cost_heuristic_decisions = self.metrics.counter(
-            "query.cost.decisions_heuristic"
+        self._m_cost_live_decisions = self.metrics.counter(
+            "query.cost.decisions_live"
         )
         self._m_cost_stale_fallbacks = self.metrics.counter(
             "query.cost.stale_fallbacks"
@@ -407,9 +406,7 @@ class Database:
                 self.schema, self.storage.scan_class, self._deref, self.metrics
             )
             self.planner = Planner(
-                self.schema, self.indexes, self._extent_count,
-                system_catalog=self.syscat,
-                page_size=self.storage.pager.page_size,
+                self.schema, self.indexes, self.storage, system_catalog=self.syscat
             )
             self.plan_cache = PlanCache(
                 self.schema, self.indexes, self._extent_count, self.metrics
@@ -998,15 +995,14 @@ class Database:
 
     def _record_cost_decision(self, plan: Plan) -> None:
         """Count one fresh planning decision under ``query.cost.*``."""
-        decision = getattr(plan, "cost", None)
+        decision = plan.cost
         if decision is None:
-            self._m_cost_heuristic_decisions.inc()
             return
+        self._m_cost_candidates.inc(len(decision.candidates))
         if decision.mode == "statistics":
             self._m_cost_stats_decisions.inc()
-            self._m_cost_candidates.inc(len(decision.candidates))
         else:
-            self._m_cost_heuristic_decisions.inc()
+            self._m_cost_live_decisions.inc()
             if decision.stale_reason is not None:
                 self._m_cost_stale_fallbacks.inc()
 

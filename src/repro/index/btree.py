@@ -75,13 +75,15 @@ class BTree:
         self.order = order
         self._root: Any = _Leaf()
         self._size = 0  # number of (key, entry) pairs
+        self._keys = 0  # number of distinct keys
 
     def __len__(self) -> int:
         return self._size
 
     @property
     def key_count(self) -> int:
-        return sum(1 for _ in self.iter_keys())
+        """Distinct keys held, maintained by ``insert``/``remove``."""
+        return self._keys
 
     # -- search ------------------------------------------------------------
 
@@ -214,6 +216,7 @@ class BTree:
             else:
                 node.keys.insert(idx, key)
                 node.values.insert(idx, [entry])
+                self._keys += 1
             if len(node.keys) > self.order:
                 return self._split_leaf(node)
             return None
@@ -268,12 +271,14 @@ class BTree:
         if not entries:
             leaf.keys.pop(idx)
             leaf.values.pop(idx)
+            self._keys -= 1
         self._size -= 1
         return True
 
     def clear(self) -> None:
         self._root = _Leaf()
         self._size = 0
+        self._keys = 0
 
     # -- estimation ------------------------------------------------------------
 
@@ -284,46 +289,8 @@ class BTree:
         return leaf.keys[0][1] if leaf is not None and leaf.keys else None
 
     def max_key(self) -> Optional[Any]:
-        node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[-1]
-        # The rightmost leaf can be empty after deletions; fall back to a
-        # linked-leaf walk tracking the last non-empty leaf.
-        if node.keys:
-            return node.keys[-1][1]
-        leaf = self._leftmost_leaf()
-        last = None
-        while leaf is not None:
-            if leaf.keys:
-                last = leaf.keys[-1][1]
-            leaf = leaf.next
-        return last
-
-    def estimate_range(self, low: Any = None, high: Any = None) -> int:
-        """Estimated entry count in [low, high] by linear interpolation.
-
-        System-R-style uniformity assumption over the key span for
-        numeric keys; non-numeric keys (or an empty tree) fall back to a
-        1/3 magic fraction.  Never costs more than two root-to-leaf
-        walks.
-        """
-        total = self._size
-        if total == 0:
-            return 0
-        lo_key, hi_key = self.min_key(), self.max_key()
-        numeric = all(
-            isinstance(k, (int, float)) and not isinstance(k, bool)
-            for k in (lo_key, hi_key)
-        )
-        if not numeric or lo_key is None or hi_key is None or hi_key <= lo_key:
-            return max(1, total // 3)
-        span = float(hi_key - lo_key)
-        lo = lo_key if low is None or not isinstance(low, (int, float)) else max(low, lo_key)
-        hi = hi_key if high is None or not isinstance(high, (int, float)) else min(high, hi_key)
-        if hi < lo:
-            return 0
-        fraction = (hi - lo) / span
-        return max(1, int(total * min(1.0, max(0.0, fraction))))
+        last = self._last_below(self._root, None)
+        return last[0][1] if last is not None else None
 
     # -- introspection ----------------------------------------------------------
 
@@ -339,7 +306,9 @@ class BTree:
         previous_key = None
         leaf: Optional[_Leaf] = self._leftmost_leaf()
         counted = 0
+        keys = 0
         while leaf is not None:
+            keys += len(leaf.keys)
             for idx, key in enumerate(leaf.keys):
                 if previous_key is not None and key <= previous_key:
                     raise KimDBError("B+-tree keys out of order")
@@ -351,6 +320,10 @@ class BTree:
         if counted != self._size:
             raise KimDBError(
                 "B+-tree size drift: counted %d, recorded %d" % (counted, self._size)
+            )
+        if keys != self._keys:
+            raise KimDBError(
+                "B+-tree key-count drift: counted %d, recorded %d" % (keys, self._keys)
             )
 
     def __repr__(self) -> str:

@@ -228,26 +228,29 @@ class ExplainResult:
         lines = ["-- cost --"]
         if decision is None:
             lines.append(
-                "model: heuristic (no ANALYZE statistics — run "
-                "Database.analyze() to enable cost-based choices)"
+                "model: none (%s has no alternative to cost)"
+                % self.plan.access.description
             )
-        elif decision.mode == "statistics":
-            lines.append(
-                "model: statistics (ANALYZE schema v%d, index epoch %d)"
-                % (decision.schema_version, decision.index_epoch)
-            )
+        else:
+            if decision.mode == "statistics":
+                lines.append(
+                    "model: statistics (ANALYZE schema v%d, index epoch %d)"
+                    % (decision.schema_version, decision.index_epoch)
+                )
+            else:
+                lines.append(
+                    "model: live counts (%s — run Database.analyze() for "
+                    "histogram estimates)" % decision.reason
+                )
+            if decision.stale_reason is not None:
+                lines.append(
+                    "WARNING: statistics are stale (%s) — costed from live "
+                    "counts; re-run Database.analyze()" % decision.stale_reason
+                )
             for candidate in decision.candidates:
                 marker = "  <- chosen" if candidate.chosen else ""
                 lines.append("candidate %s%s" % (candidate.describe(), marker))
             lines.append("estimated rows: %.1f" % decision.estimated_rows)
-        else:
-            lines.append("model: heuristic (%s)" % decision.reason)
-            if decision.stale_reason is not None:
-                lines.append(
-                    "WARNING: statistics are stale (%s) — costing fell "
-                    "back to live-count heuristics; re-run "
-                    "Database.analyze()" % decision.stale_reason
-                )
         entry = self.querystats
         if entry is not None and entry.calls:
             avg_examined = entry.rows_examined / float(entry.calls)

@@ -1,4 +1,4 @@
-"""ANALYZE-style class and index statistics for the planner.
+"""Class and index statistics for the cost-based planner.
 
 ``Database.analyze()`` walks every user class extent and every
 secondary index and distills them into a :class:`StatisticsCatalog`:
@@ -6,29 +6,28 @@ per-class row counts and average encoded object size, per-index entry
 and distinct-key counts plus an *equi-depth* value histogram (bucket
 boundaries chosen so each bucket holds roughly the same number of index
 entries — the classical selectivity-estimation structure, robust to
-skew where equi-width is not).
-
-The catalog is deliberately inert for now: it is persisted in the
-storage catalog (``save_metadata``), reloaded on reopen, exposed as the
-``SysClassStat`` / ``SysIndexStat`` system views, and handed to
-``Planner.plan(..., stats=)`` as facts — the cost model that will
-consume those facts for scan-vs-probe-vs-ordered-walk decisions is the
-next ROADMAP item, not this module's job.
+skew where equi-width is not).  The catalog is persisted in the storage
+catalog (``save_metadata``), reloaded on reopen, exposed as the
+``SysClassStat`` / ``SysIndexStat`` system views, and costed against by
+:class:`~repro.query.cost.CostModel`.
 
 Like the query-fingerprint accumulator, a catalog describes one world:
 it is stamped with the schema version and index epoch it was collected
-under, and ``stale_reason()`` reports when either has moved on.
+under, and ``stale_reason()`` reports when either has moved on.  Where
+no fresh catalog covers a query, the planner costs it against
+:class:`LiveStatistics` instead: the same reads, answered from counts
+the engine maintains anyway, so planning never scans to get them.
 
 This module reaches only public engine APIs (``scan_class``,
-``encode_object``, ``Index.tree.range``), so it can be reused against
-any storage manager; the database imports it lazily (like sysviews) to
-keep ``repro.obs`` importable without the storage package.
+``encode_object``, ``Index.tree``, ``count_class``, ``heap_pages``), so
+it can be reused against any storage manager.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..errors import SchemaError
 from .metrics import MetricsRegistry
 
 #: Target bucket count for equi-depth index histograms.
@@ -84,8 +83,8 @@ class IndexStat:
     key in bucket ``i``, each bucket holding ~``entries / buckets``
     entries.  ``low``/``high`` are the extreme keys.  Boundaries are
     stored in display form (:func:`_plain`) because they must round-trip
-    through the JSON catalog; the future cost model estimates range
-    selectivity by counting covered buckets, which needs only ordering.
+    through the JSON catalog; the cost model estimates range selectivity
+    by counting covered buckets, which needs only ordering.
     """
 
     __slots__ = (
@@ -121,9 +120,9 @@ class IndexStat:
         self.entries = entries
         self.distinct_keys = distinct_keys
         self.boundaries = boundaries
-        # Per-bucket entry counts, parallel to ``boundaries``.  Catalogs
-        # persisted before depths existed load with an empty list; the
-        # cost model then assumes uniform bucket depth.
+        # Per-bucket entry counts, parallel to ``boundaries``.  Live
+        # stats and catalogs persisted before depths existed carry an
+        # empty list; the cost model then assumes uniform bucket depth.
         self.depths = list(depths) if depths else []
         self.low = low
         self.high = high
@@ -176,6 +175,9 @@ class IndexStat:
 class StatisticsCatalog:
     """One ANALYZE run's worth of class and index statistics."""
 
+    #: How a cost decision made from this source is labelled.
+    mode = "statistics"
+
     def __init__(
         self,
         class_stats: Dict[str, ClassStat],
@@ -193,13 +195,6 @@ class StatisticsCatalog:
     def class_rows(self, class_name: str) -> Optional[int]:
         stat = self.class_stats.get(class_name)
         return stat.rows if stat is not None else None
-
-    def index_selectivity(self, index_name: str) -> Optional[float]:
-        """Average fraction of entries matched by an equality probe."""
-        stat = self.index_stats.get(index_name)
-        if stat is None or stat.entries == 0 or stat.distinct_keys == 0:
-            return None
-        return 1.0 / stat.distinct_keys
 
     def stale_reason(self, schema_version: int, index_epoch: int) -> Optional[str]:
         """Why this catalog no longer describes the live engine, if so."""
@@ -256,6 +251,95 @@ class StatisticsCatalog:
             len(self.class_stats),
             len(self.index_stats),
             self.schema_version,
+        )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def live_index_stat(
+    tree: Any, name: str = "", kind: str = "", target_class: str = "", path: str = ""
+) -> IndexStat:
+    """An :class:`IndexStat` read off a live B+-tree without walking it.
+
+    Entry and distinct-key counts are maintained by the tree and each
+    extreme key costs one descent, so all four equal what ANALYZE
+    reports for the same state.  A value distribution needs a walk, so
+    there is none: a numeric key span gets uniform buckets between the
+    extremes (System-R's uniformity assumption), any other span gets no
+    buckets and the cost model's default range selectivity.
+    """
+    entries = len(tree)
+    low, high = _plain(tree.min_key()), _plain(tree.max_key())
+    boundaries: List[Any] = []
+    if entries and _is_number(low) and _is_number(high):
+        buckets = HISTOGRAM_BUCKETS if high > low else 1
+        width = (high - low) / float(buckets)
+        boundaries = [low + width * (i + 1) for i in range(buckets - 1)] + [high]
+    return IndexStat(
+        name, kind, target_class, path, entries, tree.key_count, boundaries, low, high
+    )
+
+
+class _LiveView:
+    """A read-only ``get`` that computes each value when it is asked for."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[str], Any]) -> None:
+        self._compute = compute
+
+    def get(self, key: str) -> Any:
+        return self._compute(key)
+
+
+class LiveStatistics:
+    """The catalog's planner-facing reads, answered from live engine facts.
+
+    :class:`~repro.query.cost.CostModel` reads ``class_stats``,
+    ``index_stats``, ``class_rows`` and the two stamps.  Here rows come
+    from the directory's per-class count, scan bytes from the class
+    heap's page count, and index facts from :func:`live_index_stat`;
+    nothing is scanned.  The source is always fresh, so the planner
+    costs against it wherever no fresh ANALYZE catalog covers a query.
+    """
+
+    mode = "live"
+
+    def __init__(self, schema: Any, indexes: Any, storage: Any) -> None:
+        self.schema = schema
+        self.indexes = indexes
+        self.storage = storage
+        self.page_size = storage.pager.page_size
+        self.class_stats = _LiveView(self._class_stat)
+        self.index_stats = _LiveView(self._index_stat)
+
+    @property
+    def schema_version(self) -> int:
+        return getattr(self.schema, "version", 0)
+
+    @property
+    def index_epoch(self) -> int:
+        return getattr(self.indexes, "epoch", 0)
+
+    def class_rows(self, class_name: str) -> int:
+        return self.storage.count_class(class_name)
+
+    def _class_stat(self, class_name: str) -> ClassStat:
+        rows = self.storage.count_class(class_name)
+        total_bytes = self.storage.heap_pages(class_name) * self.page_size
+        return ClassStat(
+            class_name, rows, total_bytes, (total_bytes / float(rows)) if rows else 0.0
+        )
+
+    def _index_stat(self, index_name: str) -> Optional[IndexStat]:
+        try:
+            index = self.indexes.get(index_name)
+        except SchemaError:
+            return None
+        return live_index_stat(
+            index.tree, index.name, index.kind, index.target_class, ".".join(index.path)
         )
 
 

@@ -32,13 +32,15 @@ Cost units: one sequential page read costs :data:`PAGE_COST` row
 examinations; an index match is a random object fetch (one page touch
 per row) after :data:`BTREE_DESCEND_PAGES` to walk the tree.
 
-The model never runs on facts it cannot trust: the planner falls back
-to its live-count heuristics when the catalog is missing, when
+The model is the planner's only way to pick an access path.  It never
+runs on facts it cannot trust: when the catalog is missing, when
 ``stale_reason`` fires (schema version or index epoch moved since
-ANALYZE), or when a scope class is absent from the catalog.  The
-resulting :class:`CostDecision` — statistics-driven or heuristic, with
-every candidate's numbers — rides on the plan for EXPLAIN's ``-- cost
---`` section and the plan cache's re-cost protocol.
+ANALYZE), or when a scope class is absent from it, the planner hands
+the model :class:`~repro.obs.stats.LiveStatistics` instead — the same
+reads, answered from maintained counts, with uniform buckets in place
+of histograms.  The resulting :class:`CostDecision` (``statistics`` or
+``live``, with every candidate's numbers) rides on the plan for
+EXPLAIN's ``-- cost --`` section and the plan cache's re-cost protocol.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ def range_estimate(
         return RangeEstimate(entries * DEFAULT_RANGE_SELECTIVITY, 0.0, entries)
     depths: List[float] = [float(d) for d in stat.depths]
     if len(depths) != len(boundaries):
-        # Catalog predates per-bucket depths: assume uniform depth.
+        # Live uniform buckets, or a catalog that predates per-bucket
+        # depths: assume uniform depth.
         depths = [entries / float(len(boundaries))] * len(boundaries)
     floor = 0.0
     ceiling = 0.0
@@ -247,7 +250,7 @@ class CandidateCost:
 
 
 class CostDecision:
-    """The outcome of one costing attempt, statistics-driven or not."""
+    """The outcome of one costing run: every candidate and the winner."""
 
     __slots__ = (
         "mode",
@@ -265,16 +268,17 @@ class CostDecision:
         mode: str,
         reason: str,
         candidates: List[CandidateCost],
-        chosen: Optional[CandidateCost],
+        chosen: CandidateCost,
         estimated_rows: float,
         schema_version: int,
         index_epoch: int,
         stale_reason: Optional[str] = None,
     ) -> None:
-        #: ``"statistics"`` when the model chose the plan, ``"heuristic"``
-        #: when the planner's live-count rules did (with ``reason`` why).
+        #: ``"statistics"`` when costed from a fresh ANALYZE catalog,
+        #: ``"live"`` when from live counts (``reason`` says why).
         self.mode = mode
         self.reason = reason
+        #: Set when a stale catalog was bypassed: what moved since ANALYZE.
         self.stale_reason = stale_reason
         self.candidates = candidates
         self.chosen = chosen
@@ -282,36 +286,21 @@ class CostDecision:
         self.schema_version = schema_version
         self.index_epoch = index_epoch
 
-    @classmethod
-    def heuristic(
-        cls,
-        reason: str,
-        schema_version: int = 0,
-        index_epoch: int = 0,
-        stale_reason: Optional[str] = None,
-    ) -> "CostDecision":
-        return cls(
-            "heuristic",
-            reason,
-            [],
-            None,
-            0.0,
-            schema_version,
-            index_epoch,
-            stale_reason=stale_reason,
-        )
-
     def __repr__(self) -> str:
-        if self.mode == "statistics" and self.chosen is not None:
-            return "<CostDecision statistics %s total=%.1f>" % (
-                self.chosen.access.description,
-                self.chosen.total,
-            )
-        return "<CostDecision heuristic: %s>" % self.reason
+        return "<CostDecision %s %s total=%.1f>" % (
+            self.mode,
+            self.chosen.access.description,
+            self.chosen.total,
+        )
 
 
 class CostModel:
-    """Costs every candidate access path for one query against ANALYZE facts."""
+    """Costs every candidate access path for one query.
+
+    ``stats`` is an ANALYZE :class:`~repro.obs.stats.StatisticsCatalog`
+    or a :class:`~repro.obs.stats.LiveStatistics`; it must cover every
+    class of the scope it is asked to cost.
+    """
 
     def __init__(
         self,
@@ -341,18 +330,10 @@ class CostModel:
         ``ordered`` is the planner's (already soundness-checked)
         :class:`~repro.query.planner.IndexOrderScan` candidate or None.
         """
-        schema_version = self.stats.schema_version
-        index_epoch = self.stats.index_epoch
         total_rows = 0.0
         scan_pages = 0.0
         for cls in sorted(scope):
             stat = self.stats.class_stats.get(cls)
-            if stat is None:
-                return CostDecision.heuristic(
-                    "class %s missing from the ANALYZE catalog" % cls,
-                    schema_version,
-                    index_epoch,
-                )
             total_rows += stat.rows
             if stat.rows:
                 scan_pages += max(
@@ -404,7 +385,8 @@ class CostModel:
                     output_sel,
                     None,
                     rank=2,
-                    note="walk stops after ~%.0f row(s) for LIMIT %d"
+                    note="ordered index scan stops after ~%.0f row(s) "
+                    "for LIMIT %d"
                     % (expected, query.limit),
                 )
             )
@@ -415,13 +397,13 @@ class CostModel:
         )
         chosen.chosen = True
         return CostDecision(
-            "statistics",
+            self.stats.mode,
             "",
             candidates,
             chosen,
             estimated_out,
-            schema_version,
-            index_epoch,
+            self.stats.schema_version,
+            self.stats.index_epoch,
         )
 
     # -- selectivity -------------------------------------------------------

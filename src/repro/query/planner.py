@@ -5,8 +5,9 @@ new component, namely the query optimizer" necessary.  The kimdb planner
 performs the OODB version of System-R-style access-path selection
 [SELI79]: it determines the evaluation scope (class vs. class hierarchy),
 extracts sargable conjuncts, matches them against available single-class,
-class-hierarchy and nested-attribute indexes, estimates costs, and falls
-back to an extent scan when no index wins (experiment E7's crossover).
+class-hierarchy and nested-attribute indexes, and lets
+:class:`~repro.query.cost.CostModel` cost every candidate; an extent
+scan wins when no index is cheaper (experiment E7's crossover).
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from ..core.schema import Schema
 from ..errors import PlanningError
 from ..index.base import Index
 from ..index.manager import IndexManager
+from ..obs.stats import LiveStatistics
 from .ast import AdtPredicate, Comparison, Expr, Query, conjuncts
+from .cost import CostModel
 from .paths import validate_path
-
-#: Returns the number of direct instances of a class.
-ExtentCount = Callable[[str], int]
 
 
 class AccessPath:
@@ -156,9 +156,10 @@ class Plan:
         self.rewrite = None
         #: True once this plan has been served from the plan cache.
         self.cached = False
-        #: The :class:`~repro.query.cost.CostDecision` that produced (or
-        #: declined to produce) this plan; None when no ANALYZE catalog
-        #: was offered.  EXPLAIN renders it as the ``-- cost --`` section.
+        #: The :class:`~repro.query.cost.CostDecision` that produced this
+        #: plan; None only for system views and provably empty queries,
+        #: which have no access path to choose.  EXPLAIN renders it as
+        #: the ``-- cost --`` section.
         self.cost = None
 
     def explain(self) -> str:
@@ -180,33 +181,21 @@ class Plan:
 class Planner:
     """Chooses an access path for a query."""
 
-    #: Assumed fraction of index entries matched by a one-sided range —
-    #: a deliberately crude System-R style magic constant, used only when
-    #: the B+-tree cannot interpolate (non-numeric keys).
-    RANGE_SELECTIVITY = 1.0 / 3.0
-
-    #: Cost multiplier for index-driven access: each candidate is a
-    #: random fetch (directory lookup + page access) whereas a scan reads
-    #: extents sequentially.  Makes near-whole-extent ranges lose to the
-    #: scan, as they should.
-    INDEX_PROBE_PENALTY = 1.2
-
     def __init__(
         self,
         schema: Schema,
         indexes: IndexManager,
-        extent_count: ExtentCount,
+        storage: Any,
         adt_registry=None,
         system_catalog=None,
-        page_size: int = 4096,
     ) -> None:
         self.schema = schema
         self.indexes = indexes
-        self.extent_count = extent_count
         self.adt_registry = adt_registry
-        #: Storage page size, used by the cost model to convert ANALYZE
-        #: byte counts into estimated pages read.
-        self.page_size = page_size
+        #: Live counts the cost model reads where no fresh ANALYZE
+        #: catalog covers a query (``storage`` is duck-typed: it needs
+        #: ``count_class``, ``heap_pages`` and ``pager.page_size``).
+        self.live = LiveStatistics(schema, indexes, storage)
         #: Optional :class:`~repro.obs.sysviews.SystemCatalog`; when a
         #: query targets one of its views the planner short-circuits to a
         #: SystemScan (duck-typed — no import, the obs layer already
@@ -224,14 +213,12 @@ class Planner:
     ) -> Plan:
         """Choose an access path.
 
-        ``stats`` is an optional ANALYZE
-        :class:`~repro.obs.stats.StatisticsCatalog` (duck-typed, like
-        the system catalog).  When present and fresh, access-path
-        selection runs through :class:`~repro.query.cost.CostModel` —
-        every candidate costed in estimated pages + rows from the
-        catalog's cardinalities and histograms, cheapest wins.  When the
-        catalog is missing, stale (``stale_reason``) or incomplete, the
-        planner falls back to its live-count heuristics; either way the
+        Every candidate is costed by :class:`~repro.query.cost.CostModel`
+        in estimated pages + rows, and the cheapest wins.  ``stats`` is
+        an optional ANALYZE :class:`~repro.obs.stats.StatisticsCatalog`
+        (duck-typed, like the system catalog); the model reads it when
+        it is fresh and covers every class in scope, and reads
+        :class:`~repro.obs.stats.LiveStatistics` otherwise.  The
         resulting :class:`~repro.query.cost.CostDecision` rides on
         ``plan.cost`` for EXPLAIN and the plan cache.
         """
@@ -269,11 +256,10 @@ class Planner:
                 0.0,
                 ["rewrite proved the predicate unsatisfiable: %s" % facts.reason],
             )
-        scan_cost = float(sum(self.extent_count(cls) for cls in scope))
 
-        base_notes: List[str] = []
+        notes: List[str] = []
         if pruned:
-            base_notes.append(
+            notes.append(
                 "analysis pruned %s from scope (predicate statically "
                 "unsatisfiable there)" % ", ".join(pruned)
             )
@@ -284,121 +270,39 @@ class Planner:
                 if rows is not None
             ]
             if analyzed:
-                base_notes.append(
+                notes.append(
                     "stats: ANALYZE measured %d row(s) in scope "
                     "(schema v%d) vs live extent count %d"
-                    % (sum(analyzed), stats.schema_version, int(scan_cost))
+                    % (
+                        sum(analyzed),
+                        stats.schema_version,
+                        sum(self.live.class_rows(cls) for cls in scope),
+                    )
                 )
-
-        decision = None
-        if stats is not None:
-            decision = self._cost_decision(query, scope, facts, stats)
-        if decision is not None and decision.mode == "statistics":
-            return self._plan_from_decision(query, scope, decision, base_notes)
-        if decision is not None:
-            base_notes.append(
-                "cost model declined: %s — using live-count heuristics"
-                % decision.reason
-            )
-
-        plan = self._heuristic_plan(query, scope, facts, scan_cost, base_notes)
-        plan.cost = decision
-        return plan
-
-    def _heuristic_plan(
-        self,
-        query: Query,
-        scope: Set[str],
-        facts,
-        scan_cost: float,
-        notes: List[str],
-    ) -> Plan:
-        """Live-count access-path selection (the pre-ANALYZE rules)."""
-        best: Optional[Tuple[float, AccessPath, List[Expr]]] = None
-        predicates = conjuncts(query.where)
-        for position, predicate in enumerate(predicates):
-            candidate = self._index_candidate(query, predicate, scope)
-            if candidate is None:
-                continue
-            cost, access = candidate
-            cost *= self.INDEX_PROBE_PENALTY
-            if best is None or cost < best[0]:
-                residual = predicates[:position] + predicates[position + 1 :]
-                best = (cost, access, residual)
-        for steps, bounds in (facts.ranges if facts is not None else {}).items():
-            candidate = self._facts_range_candidate(query, steps, bounds, scope)
-            if candidate is None:
-                continue
-            cost, access = candidate
-            cost *= self.INDEX_PROBE_PENALTY
-            if best is None or cost < best[0]:
-                # The probe already enforces both bounds, but the filter
-                # above the scan rechecks the full predicate anyway, so
-                # the residual keeps every conjunct.
-                best = (cost, access, list(predicates))
-
-        if best is not None and best[0] < scan_cost:
-            cost, access, residual_list = best
-            residual = _and_together(residual_list)
-            notes.append(
-                "index access chosen: est %.1f vs scan %.1f" % (cost, scan_cost)
-            )
-            return Plan(query, scope, access, residual, cost, notes)
-        if best is not None:
-            notes.append(
-                "index available but scan cheaper: est %.1f vs scan %.1f"
-                % (best[0], scan_cost)
-            )
-        ordered = self._ordered_scan_candidate(query, scope)
-        if ordered is not None:
-            notes.append(
-                "ordered index scan: ORDER BY %s served by index %s, "
-                "LIMIT %d stops the walk early"
-                % (query.order_by.dotted(), ordered.index.name, query.limit)
-            )
-            return Plan(query, scope, ordered, query.where, scan_cost, notes)
-        return Plan(query, scope, ExtentScan(sorted(scope)), query.where, scan_cost, notes)
-
-    # -- cost-model path ---------------------------------------------------
-
-    def _cost_decision(self, query: Query, scope: Set[str], facts, stats):
-        """Run the cost model, or explain why it must stand down."""
-        from .cost import CostDecision, CostModel
-
-        schema_version = getattr(self.schema, "version", 0)
-        index_epoch = getattr(self.indexes, "epoch", 0)
-        stale = stats.stale_reason(schema_version, index_epoch)
-        if stale is not None:
-            return CostDecision.heuristic(
-                "statistics are stale (%s)" % stale,
-                stats.schema_version,
-                stats.index_epoch,
-                stale_reason=stale,
-            )
-        model = CostModel(
+        source, reason, stale = self._statistics_for(scope, stats)
+        decision = CostModel(
             self.schema,
             self.indexes,
-            stats,
-            page_size=self.page_size,
+            source,
+            page_size=self.live.page_size,
             adt_registry=self.adt_registry,
-        )
-        return model.decide(
+        ).decide(
             query,
             scope,
             facts=facts,
             ordered=self._ordered_scan_candidate(query, scope),
         )
-
-    def _plan_from_decision(
-        self, query: Query, scope: Set[str], decision, notes: List[str]
-    ) -> Plan:
-        """Materialize the cost model's winning candidate as a Plan."""
+        decision.reason = reason
+        decision.stale_reason = stale
         chosen = decision.chosen
-        notes = list(notes)
         notes.append(
-            "cost: statistics model chose %s (total %.1f) among %d "
-            "candidate(s)"
-            % (chosen.access.description, chosen.total, len(decision.candidates))
+            "cost: %s model chose %s (total %.1f) among %d candidate(s)"
+            % (
+                decision.mode,
+                chosen.access.description,
+                chosen.total,
+                len(decision.candidates),
+            )
         )
         if chosen.note:
             notes.append("cost: %s" % chosen.note)
@@ -409,6 +313,29 @@ class Planner:
         plan = Plan(query, scope, chosen.access, residual, chosen.rows, notes)
         plan.cost = decision
         return plan
+
+    def _statistics_for(
+        self, scope: Set[str], stats
+    ) -> Tuple[Any, str, Optional[str]]:
+        """The facts to cost ``scope`` against: (source, reason, stale).
+
+        The ANALYZE catalog when it is fresh and covers the scope;
+        otherwise live counts, with the reason (and, for a stale
+        catalog, what moved since ANALYZE).
+        """
+        if stats is None:
+            return self.live, "no ANALYZE statistics", None
+        stale = stats.stale_reason(self.live.schema_version, self.live.index_epoch)
+        if stale is not None:
+            return self.live, "statistics are stale (%s)" % stale, stale
+        missing = sorted(cls for cls in scope if cls not in stats.class_stats)
+        if missing:
+            return (
+                self.live,
+                "%s missing from the ANALYZE catalog" % ", ".join(missing),
+                None,
+            )
+        return stats, "", None
 
     # -- internals -------------------------------------------------------------
 
@@ -461,67 +388,6 @@ class Planner:
             if attribute not in declared or declared[attribute].multi:
                 return None
         return IndexOrderScan(index, query.descending)
-
-    def _facts_range_candidate(
-        self,
-        query: Query,
-        steps: Tuple[str, ...],
-        bounds: Tuple[Any, bool, Any, bool],
-        scope: Set[str],
-    ) -> Optional[Tuple[float, AccessPath]]:
-        """A two-sided index range probe from rewrite-derived bounds.
-
-        Per-conjunct matching only ever sees one side of a range
-        (``x > 5`` or ``x <= 9``); the rewrite pass proves the conjuncts
-        jointly confine the path to an interval, which probes a much
-        narrower key range.  Sound because the facts are only emitted
-        for paths yielding at most one value per object in every scope
-        class — any matching object's key lies inside the interval.
-        """
-        index = self.indexes.find_index(query.target_class, steps, scope)
-        if index is None:
-            return None
-        low, include_low, high, include_high = bounds
-        cost = float(index.tree.estimate_range(low=low, high=high))
-        return cost, IndexRangeProbe(index, low, high, include_low, include_high)
-
-    def _index_candidate(
-        self, query: Query, predicate: Expr, scope: Set[str]
-    ) -> Optional[Tuple[float, AccessPath]]:
-        if isinstance(predicate, AdtPredicate) and self.adt_registry is not None:
-            probe = self.adt_registry.access_method(
-                predicate.name, query.target_class, predicate.path.steps, predicate.args
-            )
-            if probe is not None:
-                estimated = probe.estimated_matches()
-                return float(estimated), AdtIndexProbe(predicate, probe.run)
-            return None
-        if not isinstance(predicate, Comparison):
-            return None
-        index = self.indexes.find_index(query.target_class, predicate.path.steps, scope)
-        if index is None:
-            return None
-        value = predicate.const.value
-        if predicate.op in ("=", "contains"):
-            cost = float(len(index.tree.search(value)))
-            return cost, IndexEqProbe(index, value)
-        if predicate.op == "in":
-            cost = float(sum(len(index.tree.search(v)) for v in value))
-            return cost, IndexInProbe(index, value)
-        if predicate.op in ("<", "<=", ">", ">="):
-            if predicate.op in ("<", "<="):
-                cost = float(index.tree.estimate_range(high=value))
-            else:
-                cost = float(index.tree.estimate_range(low=value))
-            if predicate.op == "<":
-                return cost, IndexRangeProbe(index, None, value, True, False)
-            if predicate.op == "<=":
-                return cost, IndexRangeProbe(index, None, value, True, True)
-            if predicate.op == ">":
-                return cost, IndexRangeProbe(index, value, None, False, True)
-            return cost, IndexRangeProbe(index, value, None, True, True)
-        # != and LIKE are not sargable.
-        return None
 
 
 def _and_together(predicates: List[Expr]) -> Optional[Expr]:

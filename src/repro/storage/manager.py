@@ -274,6 +274,11 @@ class StorageManager:
     def heap_names(self) -> List[str]:
         return sorted(self._heaps)
 
+    def heap_pages(self, class_name: str) -> int:
+        """Pages allocated to one class heap (0 when it has none)."""
+        heap = self._heaps.get(class_name)
+        return heap.page_count if heap is not None else 0
+
     # -- object operations ------------------------------------------------------
 
     def store_new(self, state: ObjectState, near: Optional[OID] = None) -> RID:

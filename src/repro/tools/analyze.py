@@ -107,14 +107,14 @@ def run_explain_smoke(db) -> "Tuple[str, List[str]]":
     for source, expected in EXPLAIN_SMOKE_QUERIES:
         explain = db.explain(source)
         sections.append("$ EXPLAIN %s\n%s" % (source, explain.render()))
-        decision = getattr(explain.plan, "cost", None)
+        decision = explain.plan.cost
         if decision is None or decision.mode != "statistics":
             failures.append(
                 "%s: expected a statistics-driven decision, got %s"
                 % (
                     source,
                     "no cost decision" if decision is None
-                    else "heuristic (%s)" % decision.reason,
+                    else "%s (%s)" % (decision.mode, decision.reason),
                 )
             )
         if expected not in explain.plan.access.description:

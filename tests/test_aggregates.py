@@ -125,6 +125,9 @@ class TestEvaluation:
         assert rows[0]["count(*)"] == 6
 
     def test_aggregate_uses_index_access_path(self, sales_db):
+        # Forty single-sale products make 'widget' a narrow match.
+        for n in range(40):
+            sales_db.new("Sale", {"amount": n, "product": "item-%d" % n})
         sales_db.create_hierarchy_index("Sale", "product")
         result = sales_db.execute(
             "SELECT COUNT(s) FROM Sale s WHERE s.product = 'widget'"

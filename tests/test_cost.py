@@ -10,9 +10,12 @@ Covers the PR-10 optimizer tentpole:
   walks the index only when the limit is small enough to pay off;
 * oracle parity — the cost model may change *plans* but never query
   *results* (hypothesis compares against a forced extent scan);
-* the staleness contract — a moved schema version or index epoch drops
-  the model back to heuristics, with the EXPLAIN warning and the
-  ``stale`` column on SysClassStat / SysIndexStat;
+* live statistics — without a fresh catalog the same model costs from
+  maintained counts, which equal what ANALYZE would measure (hypothesis
+  over random inserts, updates and deletes);
+* the staleness contract — a moved schema version or index epoch sends
+  the model to live counts, with the EXPLAIN warning and the ``stale``
+  column on SysClassStat / SysIndexStat;
 * the plan-cache re-cost protocol — a fresh ANALYZE re-costs cached
   entries, keeping stable winners and invalidating flipped ones;
 * the ``query.cost.*`` metric family and the EXPLAIN ``-- cost --``
@@ -193,17 +196,34 @@ class TestCostDecisions:
         assert isinstance(large.access, ExtentScan)
 
     def test_no_statistics_means_no_decision(self):
+        """No ANALYZE, no statistics decision: the model costs live counts."""
         db = _db(list(range(50)))
-        plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost is None
+        explain = db.explain("SELECT i FROM Item i WHERE i.a = 7")
+        decision = explain.plan.cost
+        assert decision.mode == "live"
+        assert decision.reason == "no ANALYZE statistics"
+        assert decision.stale_reason is None
+        assert isinstance(explain.plan.access, IndexEqProbe)
+        # 50 entries over 50 distinct keys: one expected match.
+        assert decision.chosen.rows == pytest.approx(1.0)
+        text = explain.render()
+        assert "model: live counts (no ANALYZE statistics" in text
+        assert "run Database.analyze()" in text
 
     def test_missing_class_stat_falls_back(self):
+        """A scope class absent from the catalog is costed from live counts."""
         db = _db(list(range(50)))
         db.analyze()
         del db.statistics.class_stats["Item"]
-        plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost is not None and plan.cost.mode == "heuristic"
-        assert "missing from the ANALYZE catalog" in plan.cost.reason
+        explain = db.explain("SELECT i FROM Item i WHERE i.a = 7")
+        decision = explain.plan.cost
+        assert decision.mode == "live"
+        assert decision.reason == "Item missing from the ANALYZE catalog"
+        assert decision.stale_reason is None
+        assert isinstance(explain.plan.access, IndexEqProbe)
+        text = explain.render()
+        assert "Item missing from the ANALYZE catalog" in text
+        assert "run Database.analyze()" in text
 
     def test_conjunction_uses_independence_product(self):
         db = _db([{"a": i, "b": i % 2} for i in range(100)])
@@ -242,21 +262,76 @@ class TestCostDecisions:
             assert result.stats.examined == 2
 
 
+# -- live statistics (property) ----------------------------------------------
+
+
+_VALUES = st.one_of(st.none(), st.integers(-20, 20))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from(["Base", "Sub"]), _VALUES),
+        st.tuples(st.just("update"), st.integers(0, 1000), _VALUES),
+        st.tuples(st.just("delete"), st.integers(0, 1000), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestLiveStatistics:
+    @given(ops=_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_live_facts_equal_analyze(self, ops):
+        db = Database(use_locks=False)
+        db.define_class("Base", attributes=[AttributeDef("a", "Integer")])
+        db.define_class("Sub", superclasses=("Base",))
+        db.create_hierarchy_index("Base", "a")
+        db.create_class_index("Sub", "a")
+        oids = []
+        for kind, target, value in ops:
+            if kind == "insert":
+                oids.append(db.new(target, {"a": value}).oid)
+            elif oids:
+                oid = oids[target % len(oids)]
+                if kind == "update":
+                    db.update(oid, {"a": value})
+                else:
+                    db.delete(oid)
+                    oids.remove(oid)
+        live = db.planner.live
+        catalog = db.analyze()
+        for name, stat in catalog.class_stats.items():
+            assert live.class_stats.get(name).rows == stat.rows
+            assert live.class_rows(name) == stat.rows
+        assert len(catalog.index_stats) == 2
+        for name, stat in catalog.index_stats.items():
+            got = live.index_stats.get(name)
+            assert (got.entries, got.distinct_keys, got.low, got.high) == (
+                stat.entries,
+                stat.distinct_keys,
+                stat.low,
+                stat.high,
+            )
+        db.close()
+
+
 # -- staleness ---------------------------------------------------------------
 
 
 class TestStaleness:
     def test_index_epoch_move_falls_back_with_explain_warning(self):
+        """A stale catalog is bypassed for live counts, with a warning."""
         db = _db(list(range(100)))
         db.analyze()
         db.create_class_index("Item", "b")  # bumps the index epoch
         explain = db.explain("SELECT i FROM Item i WHERE i.a = 7")
-        assert explain.plan.cost.mode == "heuristic"
-        assert explain.plan.cost.stale_reason is not None
+        decision = explain.plan.cost
+        assert decision.mode == "live"
+        assert decision.stale_reason == "index epoch moved 1 -> 2"
+        assert decision.reason == "statistics are stale (index epoch moved 1 -> 2)"
+        assert isinstance(explain.plan.access, IndexEqProbe)
         text = explain.render()
         assert "-- cost --" in text
-        assert "WARNING: statistics are stale" in text
-        assert "index epoch moved" in text
+        assert "WARNING: statistics are stale (index epoch moved 1 -> 2)" in text
+        assert "re-run Database.analyze()" in text
 
     def test_sysviews_surface_stale_reason(self):
         db = _db(list(range(50)))
@@ -319,6 +394,12 @@ class TestPlanCacheRecost:
         rows = db.select("SysPlanCache")
         assert rows and rows[0]["cost_mode"] == "statistics"
 
+    def test_sysplancache_reports_live_cost_mode(self):
+        db = _db(list(range(50)))
+        db.plan(self.SOURCE)
+        rows = db.select("SysPlanCache")
+        assert rows and rows[0]["cost_mode"] == "live"
+
 
 # -- metrics and EXPLAIN feedback --------------------------------------------
 
@@ -326,23 +407,24 @@ class TestPlanCacheRecost:
 class TestCostObservability:
     def test_query_cost_metric_family(self):
         db = _db(list(range(100)))
-        heuristic_before = db.metrics.counter(
-            "query.cost.decisions_heuristic"
-        ).value
         db.execute("SELECT i FROM Item i WHERE i.a = 7")
-        assert (
-            db.metrics.counter("query.cost.decisions_heuristic").value
-            == heuristic_before + 1
-        )
+        assert db.metrics.counter("query.cost.decisions_live").value == 1
+        assert db.metrics.counter("query.cost.decisions_statistics").value == 0
+        assert db.metrics.counter("query.cost.candidates").value == 2
+        # Estimated-vs-actual rows measure the ANALYZE catalog only.
+        assert db.metrics.counter("query.cost.estimated_rows").value == 0
         db.analyze()
         db.execute("SELECT i FROM Item i WHERE i.a = 8")
         assert db.metrics.counter("query.cost.decisions_statistics").value == 1
-        assert db.metrics.counter("query.cost.candidates").value == 2
+        assert db.metrics.counter("query.cost.candidates").value == 4
         assert db.metrics.counter("query.cost.estimated_rows").value == 1
         assert db.metrics.counter("query.cost.actual_rows").value == 1
         db.create_class_index("Item", "b")
-        db.execute("SELECT i FROM Item i WHERE i.a = 9")
+        explain = db.explain("SELECT i FROM Item i WHERE i.a = 9")
         assert db.metrics.counter("query.cost.stale_fallbacks").value == 1
+        assert db.metrics.counter("query.cost.decisions_live").value == 2
+        assert explain.plan.cost.stale_reason == "index epoch moved 1 -> 2"
+        assert "re-run Database.analyze()" in explain.render()
 
     def test_explain_shows_estimated_vs_observed(self):
         db = _db(list(range(80)))
@@ -358,9 +440,14 @@ class TestCostObservability:
 
     def test_explain_without_stats_names_the_remedy(self):
         db = _db(list(range(10)))
-        text = db.explain("SELECT i FROM Item i WHERE i.a = 1").render()
+        explain = db.explain("SELECT i FROM Item i WHERE i.a = 1")
+        assert explain.plan.cost.mode == "live"
+        assert explain.plan.cost.stale_reason is None
+        text = explain.render()
         assert "-- cost --" in text
+        assert "model: live counts (no ANALYZE statistics" in text
         assert "run Database.analyze()" in text
+        assert "<- chosen" in text
 
 
 # -- the CI plan-quality smoke ----------------------------------------------

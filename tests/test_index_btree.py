@@ -144,12 +144,49 @@ class TestRemove:
         tree.check_invariants()
         assert len(tree) == len(live)
 
+    def test_key_count_tracks_random_inserts_and_removes(self):
+        rng = random.Random(7)
+        tree = BTree(order=4)
+        live = set()  # (key, oid value) pairs, several OIDs per key
+        for step in range(3000):
+            key = rng.randrange(60)
+            oid = OID(rng.randrange(5) + 1)
+            if rng.random() < 0.45:
+                removed = tree.remove(key, "A", oid)
+                assert removed == ((key, oid.value) in live)
+                live.discard((key, oid.value))
+            elif (key, oid.value) not in live:
+                tree.insert(key, "A", oid)
+                live.add((key, oid.value))
+            if step % 100 == 0:
+                tree.check_invariants()
+            assert tree.key_count == len({k for k, _ in live})
+            assert tree.min_key() == min((k for k, _ in live), default=None)
+            assert tree.max_key() == max((k for k, _ in live), default=None)
+        # Empty the leaves at both ends: the extremes skip them.
+        for key, oid_value in sorted(live):
+            if key < 15 or key >= 30:
+                assert tree.remove(key, "A", OID(oid_value))
+                live.discard((key, oid_value))
+        tree.check_invariants()
+        assert tree.key_count == len(list(tree.iter_keys())) == len({k for k, _ in live})
+        assert tree.min_key() == min(k for k, _ in live)
+        assert tree.max_key() == max(k for k, _ in live)
+
+    def test_check_invariants_catches_key_count_drift(self):
+        tree = BTree()
+        tree.insert(1, "A", OID(1))
+        tree._keys += 1
+        with pytest.raises(KimDBError, match="key-count drift"):
+            tree.check_invariants()
+
     def test_clear(self):
         tree = BTree()
         for value in range(10):
             tree.insert(value, "A", OID(value + 1))
         tree.clear()
         assert len(tree) == 0
+        assert tree.key_count == 0
         assert list(tree.iter_keys()) == []
 
 

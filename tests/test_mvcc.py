@@ -297,7 +297,7 @@ def test_changed_oids_are_the_ones_a_snapshot_sees_differently():
 # -- snapshot repeatable reads on every index access path ---------------------
 
 
-def _fig1_db():
+def _fig1_db(n_companies=8):
     """Figure 1 data with hierarchy, nested and price indexes.
 
     A few vehicles get marker weights 500-502 (the IN and range shapes)
@@ -305,7 +305,7 @@ def _fig1_db():
     """
     db = Database()
     build_vehicle_schema(db)
-    populate_vehicles(db, n_vehicles=120, n_companies=8, seed=1990)
+    populate_vehicles(db, n_vehicles=120, n_companies=n_companies, seed=1990)
     for position, oid in enumerate(_vehicles(db)):
         if position < 6:
             db.update(oid, {"weight": 500 + position % 3})
@@ -317,12 +317,35 @@ def _fig1_db():
     return db
 
 
+def _nested_db():
+    """Figure 1 data over 24 companies, so the nested index holds six
+    locations: one location's vehicles are a small enough share of the
+    extent for the nested probe to beat the scan."""
+    return _fig1_db(n_companies=24)
+
+
+def _ordered_db():
+    """Figure 1 data plus 600 unpriced trucks behind the None tail.
+
+    A ``LIMIT 115`` price walk still returns the same 108 keyed vehicles
+    and 7 of the None tail, but now reads a sixth of the extent rather
+    than nearly all of it, so the ordered walk beats scan + sort.
+    """
+    db = _fig1_db()
+    for _ in range(600):
+        db.new("Truck", {"price": None, "weight": 4321})
+    return db
+
+
 def _vehicles(db):
     return sorted(db.execute("SELECT v FROM Vehicle v").oids)
 
 
 def _red_db():
+    """Twelve red/blue vehicles among 48 in twelve other colours."""
     db = _vehicle_db()
+    for i in range(48):
+        db.new("Vehicle", {"weight": 2000 + i, "color": "shade-%d" % (i % 12)})
     db.create_class_index("Vehicle", "color")
     return db
 
@@ -390,14 +413,14 @@ INDEX_SHAPES = [
      IndexInProbe, _move_keys("weight", 501, 9000)),
     ("hierarchy-range", _fig1_db, "SELECT v FROM Vehicle v WHERE v.weight < 600",
      IndexRangeProbe, _move_keys("weight", 550, 9000)),
-    ("order-asc", _fig1_db, "SELECT v FROM Vehicle v ORDER BY v.price LIMIT 115",
+    ("order-asc", _ordered_db, "SELECT v FROM Vehicle v ORDER BY v.price LIMIT 115",
      IndexOrderScan, _reorder_prices),
-    ("order-desc", _fig1_db, "SELECT v FROM Vehicle v ORDER BY v.price DESC LIMIT 115",
+    ("order-desc", _ordered_db, "SELECT v FROM Vehicle v ORDER BY v.price DESC LIMIT 115",
      IndexOrderScan, _reorder_prices),
     ("adt", _cell_db, "SELECT c FROM Cell c WHERE overlaps(c.shape, [10, 10, 40, 40])",
      AdtIndexProbe, _move_keys("shape", [20.0, 20.0, 21.0, 21.0], [150.0, 150.0, 151.0, 151.0], "Cell")),
-    ("nested-intermediate-update", _fig1_db, NESTED, IndexEqProbe, _move_company),
-    ("nested-intermediate-delete", _fig1_db, NESTED, IndexEqProbe, _delete_company),
+    ("nested-intermediate-update", _nested_db, NESTED, IndexEqProbe, _move_company),
+    ("nested-intermediate-delete", _nested_db, NESTED, IndexEqProbe, _delete_company),
 ]
 
 
@@ -472,7 +495,7 @@ def test_open_order_scan_stream_stays_exact_across_commits(order, in_txn):
     snapshot answer while writers commit key moves around its cursor:
     nothing twice, nothing lost, everything at its snapshot key."""
     query = "SELECT v FROM Vehicle v ORDER BY v.price%s LIMIT 115" % order
-    db = _fig1_db()
+    db = _ordered_db()
     try:
         with contextlib.ExitStack() as stack:
             if in_txn:
@@ -495,7 +518,7 @@ def test_order_scan_rechecks_a_key_moved_and_rolled_back_during_a_read():
     aborts: its entry is gone before the walk re-reads the changed set,
     so only the snapshot-key check keeps the object at its own key."""
     query = "SELECT v FROM Vehicle v ORDER BY v.price LIMIT 115"
-    db = _fig1_db()
+    db = _ordered_db()
     try:
         before = db.execute(query)
         price = lambda oid: db.get_state(oid).values["price"]

@@ -181,9 +181,9 @@ class TestPlanner:
 
     def test_range_probe(self, pdb):
         pdb.create_hierarchy_index("Vehicle", "weight")
-        plan = pdb.plan("SELECT v FROM Vehicle v WHERE v.weight > 7500")
+        plan = pdb.plan("SELECT v FROM Vehicle v WHERE v.weight > 11500")
         assert isinstance(plan.access, IndexRangeProbe)
-        assert plan.access.low == 7500 and not plan.access.include_low
+        assert plan.access.low == 11500 and not plan.access.include_low
 
     def test_residual_retained(self, pdb):
         pdb.create_hierarchy_index("Vehicle", "weight")

@@ -302,7 +302,6 @@ class TestAnalyze:
         assert index.low == 900 and index.high == 939
         assert index.boundaries == sorted(index.boundaries)
         assert index.boundaries[-1] == 939
-        assert catalog.index_selectivity(index.name) == pytest.approx(1 / 40)
         db.close()
 
     def test_sysclassstat_and_sysindexstat_views(self):

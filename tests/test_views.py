@@ -78,7 +78,7 @@ class TestRewriting:
 
     def test_view_uses_indexes(self, vdb):
         vdb.create_hierarchy_index("Vehicle", "weight")
-        vdb.views.define_view("Heavy", "SELECT v FROM Vehicle v WHERE v.weight > 7500")
+        vdb.views.define_view("Heavy", "SELECT v FROM Vehicle v WHERE v.weight > 11500")
         rewritten = vdb.views.rewrite(
             __import__("repro.query.parser", fromlist=["parse_query"]).parse_query(
                 "SELECT h FROM Heavy h"
