@@ -66,12 +66,12 @@ def test_lock_count_summary(part_db):
         "E8a: locks acquired for a %d-object class scan" % N_OBJECTS,
         ("granularity", "acquisitions", "ms"),
         [
-            ("class-level (S on class)", coarse.stats.acquisitions, round(t_coarse * 1e3, 3)),
-            ("object-level (S per object)", fine.stats.acquisitions, round(t_fine * 1e3, 3)),
+            ("class-level (S on class)", coarse.metrics.value("locks.acquisitions"), round(t_coarse * 1e3, 3)),
+            ("object-level (S per object)", fine.metrics.value("locks.acquisitions"), round(t_fine * 1e3, 3)),
         ],
     )
-    assert coarse.stats.acquisitions == 2
-    assert fine.stats.acquisitions == N_OBJECTS + 2
+    assert coarse.metrics.value("locks.acquisitions") == 2
+    assert fine.metrics.value("locks.acquisitions") == N_OBJECTS + 2
     assert t_coarse < t_fine
 
 
@@ -203,12 +203,12 @@ def test_snapshot_readers_scan_lock_free(part_db):
     writer = db.txns.begin()
     db.update(oids[0], {"n": -777})
     try:
-        acquisitions_before = db.locks.stats.acquisitions
-        waits_before = db.locks.stats.blocks
+        acquisitions_before = db.metrics.value("locks.acquisitions")
+        waits_before = db.metrics.value("locks.waits")
         t_read, result = timed(db.execute, "Part where n > -100")
         assert len(result) >= N_OBJECTS - 1
-        assert db.locks.stats.acquisitions == acquisitions_before
-        assert db.locks.stats.blocks == waits_before
+        assert db.metrics.value("locks.acquisitions") == acquisitions_before
+        assert db.metrics.value("locks.waits") == waits_before
         # Every lock in the table belongs to the writer; the reader
         # left no footprint.
         lock_rows = db.select("SysLock")
@@ -281,8 +281,8 @@ def test_snapshot_index_plans_survive_concurrent_writers():
         assert [str(oid) for oid in result.oids] == [
             str(oid) for oid in oracle.execute(text).oids
         ], text
-        examined += result.stats.examined
-        matched += result.stats.matched
+        examined += result.pipeline.examined
+        matched += result.pipeline.matched
     elapsed = time.perf_counter() - started
     live_entries = db.version_store.entry_count
     stream.close()
@@ -310,9 +310,9 @@ def test_snapshot_index_plans_survive_concurrent_writers():
             assert result.oids == sorted(
                 oid for oid, value in pinned_keys.items() if value == key
             )
-            assert result.stats.examined <= result.stats.matched + changed
-            pinned_examined += result.stats.examined
-            pinned_matched += result.stats.matched
+            assert result.pipeline.examined <= result.pipeline.matched + changed
+            pinned_examined += result.pipeline.examined
+            pinned_matched += result.pipeline.matched
         pinned_entries = db.version_store.entry_count
     assert pinned_entries >= rounds
     assert pinned_examined > pinned_matched  # the widened probes were exercised

@@ -91,7 +91,7 @@ def test_crossover_summary(sweep_db):
         t_chosen, result = timed(sweep_db.execute, query)
         # Uniform keys: the equality estimate (entries/distinct) must be
         # exact, and execution must confirm it.
-        assert int(round(decision.estimated_rows)) == result.stats.matched == N // distinct
+        assert int(round(decision.estimated_rows)) == result.pipeline.matched == N // distinct
 
         # Force the other strategy for a wall-clock comparison.
         if chosen_is_index:
@@ -129,9 +129,9 @@ def test_crossover_summary(sweep_db):
                 "estimated_rows": decision.estimated_rows,
                 "chosen_ms": t_chosen * 1e3,
                 "forced_other_ms": t_other * 1e3,
-                "examined": result.stats.examined,
-                "matched": result.stats.matched,
-                "index_probes": result.stats.index_probes,
+                "examined": result.pipeline.examined,
+                "matched": result.pipeline.matched,
+                "index_probes": result.pipeline.index_probes,
                 "operators": result.operator_stats(),
             }
         )

@@ -94,7 +94,7 @@ def test_rewrite_sweep_and_hot_query_cache(bench_db):
     # -- contradiction short circuit ---------------------------------------
     empty_seconds, empty = timed(db.execute, CONTRADICTION)
     assert list(empty.oids) == []
-    assert empty.stats.examined == 0
+    assert empty.pipeline.examined == 0
 
     rows = [
         ("rewrite sweep (%d queries)" % SWEEP_QUERIES, "%.1f" % (sweep_seconds * 1e3)),

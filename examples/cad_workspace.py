@@ -71,11 +71,12 @@ def main() -> None:
         )
 
     root = workspace.load(gearbox.oid)
-    print("total mass: %d g (faults: %d)" % (total_mass(root), workspace.stats.faults))
+    metrics = workspace.metrics
+    print("total mass: %d g (faults: %d)" % (total_mass(root), metrics.value("workspace.faults")))
     # Second pass is pure pointer chasing.
-    workspace.stats.faults = 0
+    metrics.reset("workspace.")
     total_mass(root)
-    print("second pass faults:", workspace.stats.faults)
+    print("second pass faults:", metrics.value("workspace.faults"))
 
     # -- versions: derive a lightweight variant -----------------------------
     versioned = db.versions.create_versioned(

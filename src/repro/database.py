@@ -57,37 +57,6 @@ from .txn.wal import WriteAheadLog
 from .versions.store import SnapshotView, VersionStore
 
 
-class DatabaseStats:
-    """Aggregated counters used by tests and experiments."""
-
-    def __init__(self, db: "Database") -> None:
-        self._db = db
-
-    def snapshot(self) -> Dict[str, Any]:
-        storage = self._db.storage
-        return {
-            "objects": len(storage.directory),
-            "buffer": storage.buffer.stats.snapshot(),
-            "pager": storage.pager.stats.snapshot(),
-            "locks": {
-                "acquisitions": self._db.locks.stats.acquisitions,
-                "blocks": self._db.locks.stats.blocks,
-                "deadlocks": self._db.locks.stats.deadlocks,
-            },
-            "transactions": {
-                "committed": self._db.txns.committed_count,
-                "aborted": self._db.txns.aborted_count,
-            },
-            "metrics": self._db.metrics.snapshot(),
-            "querystats": self._db.query_stats.rows(),
-        }
-
-    def reset_io(self) -> None:
-        self._db.storage.buffer.stats.reset()
-        self._db.storage.pager.stats.reset()
-        self._db.locks.stats.reset()
-
-
 class QueryStream:
     """A closable handle over a streaming query (:meth:`Database.select_iter`).
 
@@ -337,7 +306,6 @@ class Database:
             self._deref, self._scan_coerced, self.send, self._adt_eval,
             metrics=self.metrics,
         )
-        self.stats = DatabaseStats(self)
         self._m_parses = self.metrics.counter("query.parses")
         self._m_checks = self.metrics.counter("query.checks")
         self._m_plans = self.metrics.counter("query.plans")

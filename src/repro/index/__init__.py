@@ -1,6 +1,6 @@
 """Secondary indexing: B+-tree, single-class, class-hierarchy, nested."""
 
-from .base import Index, IndexStats, attribute_keys
+from .base import Index, attribute_keys
 from .btree import BTree, normalize_key
 from .class_hierarchy import ClassHierarchyIndex
 from .manager import IndexManager
@@ -9,7 +9,6 @@ from .single_class import SingleClassIndex
 
 __all__ = [
     "Index",
-    "IndexStats",
     "attribute_keys",
     "BTree",
     "normalize_key",

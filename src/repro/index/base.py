@@ -18,64 +18,6 @@ from ..obs.metrics import MetricsRegistry
 from .btree import BTree
 
 
-class IndexStats:
-    """Probe/maintenance counters for one index.
-
-    A view over ``index.<name>.*`` registry metrics; an index registered
-    with an :class:`~repro.index.manager.IndexManager` shares the
-    database registry, a standalone index gets a private one.
-    """
-
-    __slots__ = ("_probes", "_inserts", "_removes", "_recomputes")
-
-    def __init__(
-        self, registry: Optional[MetricsRegistry] = None, prefix: str = "index"
-    ) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._probes = registry.counter("%s.probes" % prefix)
-        self._inserts = registry.counter("%s.inserts" % prefix)
-        self._removes = registry.counter("%s.removes" % prefix)
-        self._recomputes = registry.counter("%s.recomputes" % prefix)
-
-    @property
-    def probes(self) -> int:
-        return self._probes.value
-
-    @probes.setter
-    def probes(self, value: int) -> None:
-        self._probes.value = value
-
-    @property
-    def inserts(self) -> int:
-        return self._inserts.value
-
-    @inserts.setter
-    def inserts(self, value: int) -> None:
-        self._inserts.value = value
-
-    @property
-    def removes(self) -> int:
-        return self._removes.value
-
-    @removes.setter
-    def removes(self, value: int) -> None:
-        self._removes.value = value
-
-    @property
-    def recomputes(self) -> int:
-        return self._recomputes.value
-
-    @recomputes.setter
-    def recomputes(self, value: int) -> None:
-        self._recomputes.value = value
-
-    def reset(self) -> None:
-        self._probes.reset()
-        self._inserts.reset()
-        self._removes.reset()
-        self._recomputes.reset()
-
-
 class Index:
     """Base class for secondary indexes.
 
@@ -99,16 +41,31 @@ class Index:
         self.target_class = target_class
         self.path: Tuple[str, ...] = tuple(path)
         self.tree = BTree(order=order)
-        self.stats = IndexStats(prefix="index.%s" % name)
+        #: Probe/maintenance counters, ``index.<name>.*``.  A standalone
+        #: index counts into a private registry until :meth:`bind_metrics`.
+        self.bind_metrics(MetricsRegistry())
 
-    def bind_metrics(self, registry: Optional[MetricsRegistry]) -> None:
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Re-home this index's counters into a shared registry.
 
         Called by the index manager at registration time, before the
         initial build, so all of a database's indexes report into the
         database-wide registry under ``index.<name>.*``.
         """
-        self.stats = IndexStats(registry, prefix="index.%s" % self.name)
+        prefix = "index.%s." % self.name
+        self.metrics = registry
+        self._m_probes = registry.counter(prefix + "probes")
+        self._m_inserts = registry.counter(prefix + "inserts")
+        self._m_removes = registry.counter(prefix + "removes")
+        self._m_recomputes = registry.counter(prefix + "recomputes")
+
+    def unbind_metrics(self) -> None:
+        """Take this index's counters out of its registry (on drop), so
+        a later index of the same name starts from zero."""
+        for counter in (
+            self._m_probes, self._m_inserts, self._m_removes, self._m_recomputes
+        ):
+            self.metrics.remove(counter.name)
 
     # -- coverage ------------------------------------------------------------
 
@@ -128,7 +85,7 @@ class Index:
         return [oid for cls, oid in entries if cls in scope]
 
     def lookup_eq(self, value: Any, scope: Optional[Set[str]] = None) -> List[OID]:
-        self.stats._probes.inc()
+        self._m_probes.inc()
         return sorted(self._filter(self.tree.search(value), scope))
 
     def lookup_range(
@@ -139,14 +96,14 @@ class Index:
         include_high: bool = True,
         scope: Optional[Set[str]] = None,
     ) -> List[OID]:
-        self.stats._probes.inc()
+        self._m_probes.inc()
         out: List[OID] = []
         for _key, entries in self.tree.range(low, high, include_low, include_high):
             out.extend(self._filter(entries, scope))
         return sorted(set(out))
 
     def lookup_in(self, values: Iterable[Any], scope: Optional[Set[str]] = None) -> List[OID]:
-        self.stats._probes.inc()
+        self._m_probes.inc()
         out: List[OID] = []
         for value in values:
             out.extend(self._filter(self.tree.search(value), scope))

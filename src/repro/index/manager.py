@@ -64,7 +64,7 @@ class IndexManager:
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
             raise SchemaError("no index named %r" % (name,))
-        del self._indexes[name]
+        self._indexes.pop(name).unbind_metrics()
         self.epoch += 1
 
     def _register(self, index: Index) -> Index:

@@ -196,15 +196,15 @@ class ExplainResult:
         return self.root.to_dict()
 
     def render(self) -> str:
-        stats = self.result.stats
+        pipeline = self.result.pipeline
         lines = [self.plan.explain(), "-- execution --"]
-        lines.append("objects examined: %d" % stats.examined)
-        lines.append("objects matched: %d" % stats.matched)
-        lines.append("index probes: %d" % stats.index_probes)
+        lines.append("objects examined: %d" % pipeline.examined)
+        lines.append("objects matched: %d" % pipeline.matched)
+        lines.append("index probes: %d" % pipeline.index_probes)
         if self.plan.estimated_cost:
             lines.append(
                 "estimate accuracy: %.2fx (examined/estimated)"
-                % (stats.examined / self.plan.estimated_cost)
+                % (pipeline.examined / self.plan.estimated_cost)
             )
         lines.append("-- plan --")
         lines.append(self.root.render())

@@ -334,6 +334,11 @@ class MetricsRegistry:
             if not prefix or name.startswith(prefix):
                 metric.reset()
 
+    def remove(self, name: str) -> None:
+        """Forget one instrument (absent names are ignored); an owner
+        that goes away — a dropped index — takes its metrics with it."""
+        self._metrics.pop(name, None)
+
     def __contains__(self, name: str) -> bool:
         return name in self._metrics or name in self._derived
 

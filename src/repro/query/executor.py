@@ -5,9 +5,10 @@ A :class:`~repro.query.planner.Plan` is compiled (see
 full-predicate re-check, sort/aggregate, limit, projection — and this
 module merely drains it, collecting OIDs and projected rows in one
 streaming pass.  Execution statistics are no longer counted here: they
-*are* the operators' live ``rows_out`` counters, surfaced through the
-legacy :class:`ExecutionStats` property view and rolled up into the
-database :class:`~repro.obs.metrics.MetricsRegistry` after each run.
+*are* the operators' live ``rows_out`` counters, read off
+``ResultSet.pipeline`` (``examined``, ``matched``, ``index_probes``) and
+rolled up into the database :class:`~repro.obs.metrics.MetricsRegistry`
+after each run.
 """
 
 from __future__ import annotations
@@ -26,42 +27,14 @@ ScanClass = Callable[[str], Iterable[ObjectState]]
 Sender = Callable[..., Any]
 
 
-class ExecutionStats:
-    """Legacy examined/matched/index_probes counters as a property view.
-
-    The numbers live on the pipeline's operators (``examined`` is the
-    candidate source's ``rows_out``, ``matched`` the filter's,
-    ``index_probes`` the probe leaf's run count) — the same
-    single-source-of-truth pattern the buffer and lock stats use over
-    the metrics registry.
-    """
-
-    __slots__ = ("_pipeline",)
-
-    def __init__(self, pipeline: Optional[Pipeline] = None) -> None:
-        self._pipeline = pipeline
-
-    @property
-    def examined(self) -> int:
-        return self._pipeline.examined if self._pipeline is not None else 0
-
-    @property
-    def matched(self) -> int:
-        return self._pipeline.matched if self._pipeline is not None else 0
-
-    @property
-    def index_probes(self) -> int:
-        return self._pipeline.index_probes if self._pipeline is not None else 0
-
-
 class ResultSet:
     """Query results.
 
     ``oids`` is always populated (in result order).  For projection
     queries ``rows`` holds dicts keyed by dotted path; otherwise callers
     materialize handles through the database.  ``pipeline`` keeps the
-    executed operator chain so stats (and EXPLAIN ANALYZE) read live
-    counters.
+    executed operator chain, so ``pipeline.examined``/``matched``/
+    ``index_probes`` (and EXPLAIN ANALYZE) read its live counters.
     """
 
     def __init__(
@@ -70,14 +43,12 @@ class ResultSet:
         plan: Plan,
         oids: List[OID],
         rows: Optional[List[Dict[str, Any]]],
-        stats: ExecutionStats,
-        pipeline: Optional[Pipeline] = None,
+        pipeline: Pipeline,
     ) -> None:
         self.query = query
         self.plan = plan
         self.oids = oids
         self.rows = rows
-        self.stats = stats
         self.pipeline = pipeline
         #: Annotated PlanNode root when executed under EXPLAIN ANALYZE.
         self.analysis = None
@@ -87,7 +58,7 @@ class ResultSet:
 
     def operator_stats(self) -> List[Dict[str, Any]]:
         """Per-operator counters, leaf first (bench artifacts)."""
-        return self.pipeline.operator_stats() if self.pipeline is not None else []
+        return self.pipeline.operator_stats()
 
     def __len__(self) -> int:
         return len(self.rows) if self.rows is not None else len(self.oids)
@@ -159,7 +130,7 @@ class Executor:
         self._m_examined.inc(pipeline.examined)
         self._m_matched.inc(pipeline.matched)
         self._m_probes.inc(pipeline.index_probes)
-        return ResultSet(query, plan, oids, rows, ExecutionStats(pipeline), pipeline)
+        return ResultSet(query, plan, oids, rows, pipeline)
 
     def execute_rows(
         self, plan: Plan, kernel, scan: ScanClass, timed: bool = False
@@ -187,6 +158,6 @@ class Executor:
             pipeline.close()
         self._m_examined.inc(pipeline.examined)
         self._m_matched.inc(pipeline.matched)
-        result = ResultSet(query, plan, [], rows, ExecutionStats(pipeline), pipeline)
+        result = ResultSet(query, plan, [], rows, pipeline)
         result.system = True
         return result

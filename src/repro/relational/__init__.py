@@ -1,6 +1,6 @@
 """Relational baseline engine (tables, selections, joins)."""
 
-from .engine import RelationalEngine, RelationalStats
+from .engine import RelationalEngine
 from .table import Column, Table
 
-__all__ = ["RelationalEngine", "RelationalStats", "Column", "Table"]
+__all__ = ["RelationalEngine", "Column", "Table"]

@@ -8,8 +8,8 @@ use joins to express the traversal from one object to other objects"
 
 Join methods: nested-loop (the worst case), index nested-loop (when the
 inner column has an index) and hash join; :meth:`RelationalEngine.join`
-picks automatically.  ``rows_examined`` counts work for deterministic
-comparisons.
+picks automatically.  ``relational.rows_examined`` (with ``rows_joined``
+and ``index_lookups``) counts work for deterministic comparisons.
 """
 
 from __future__ import annotations
@@ -17,24 +17,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import KimDBError
+from ..obs.metrics import MetricsRegistry
 from .table import Column, Table
 
 Row = Dict[str, Any]
 Predicate = Callable[[Row], bool]
-
-
-class RelationalStats:
-    __slots__ = ("rows_examined", "rows_joined", "index_lookups")
-
-    def __init__(self) -> None:
-        self.rows_examined = 0
-        self.rows_joined = 0
-        self.index_lookups = 0
-
-    def reset(self) -> None:
-        self.rows_examined = 0
-        self.rows_joined = 0
-        self.index_lookups = 0
 
 
 class RelationalEngine:
@@ -49,7 +36,11 @@ class RelationalEngine:
     def __init__(self, storage=None) -> None:
         self._tables: Dict[str, Table] = {}
         self.storage = storage
-        self.stats = RelationalStats()
+        #: Work counters, ``relational.*`` in a private registry.
+        self.metrics = MetricsRegistry()
+        self._m_rows_examined = self.metrics.counter("relational.rows_examined")
+        self._m_rows_joined = self.metrics.counter("relational.rows_joined")
+        self._m_index_lookups = self.metrics.counter("relational.index_lookups")
 
     # -- DDL ------------------------------------------------------------------
 
@@ -105,7 +96,7 @@ class RelationalEngine:
 
     def scan(self, table_name: str) -> Iterator[Row]:
         for _row_id, row in self.table(table_name).scan():
-            self.stats.rows_examined += 1
+            self._m_rows_examined.inc()
             yield row
 
     def select(self, table_name: str, predicate: Predicate) -> List[Row]:
@@ -115,10 +106,10 @@ class RelationalEngine:
         """Equality selection, using an index when one exists."""
         table = self.table(table_name)
         if table.has_index(column):
-            self.stats.index_lookups += 1
+            self._m_index_lookups.inc()
             return table.index_lookup(column, value)
         if table.primary_key == column:
-            self.stats.index_lookups += 1
+            self._m_index_lookups.inc()
             row = table.by_primary_key(value)
             return [row] if row is not None else []
         return [row for row in self.scan(table_name) if row.get(column) == value]
@@ -150,12 +141,12 @@ class RelationalEngine:
         right_all = list(self.scan(right_table))
         out = []
         for left in left_rows:
-            self.stats.rows_examined += 1
+            self._m_rows_examined.inc()
             for right in right_all:
-                self.stats.rows_examined += 1
+                self._m_rows_examined.inc()
                 if left.get(left_col) == right.get(right_col) and left.get(left_col) is not None:
                     out.append(self._merge(left, right, right_table))
-                    self.stats.rows_joined += 1
+                    self._m_rows_joined.inc()
         return out
 
     def index_join(
@@ -174,11 +165,11 @@ class RelationalEngine:
             )
         out = []
         for left in left_rows:
-            self.stats.rows_examined += 1
+            self._m_rows_examined.inc()
             key = left.get(left_col)
             if key is None:
                 continue
-            self.stats.index_lookups += 1
+            self._m_index_lookups.inc()
             if use_pk:
                 row = table.by_primary_key(key)
                 matches = [row] if row is not None else []
@@ -186,7 +177,7 @@ class RelationalEngine:
                 matches = table.index_lookup(right_col, key)
             for right in matches:
                 out.append(self._merge(left, right, right_table))
-                self.stats.rows_joined += 1
+                self._m_rows_joined.inc()
         return out
 
     def hash_join(
@@ -202,13 +193,13 @@ class RelationalEngine:
             buckets.setdefault(right.get(right_col), []).append(right)
         out = []
         for left in left_rows:
-            self.stats.rows_examined += 1
+            self._m_rows_examined.inc()
             key = left.get(left_col)
             if key is None:
                 continue
             for right in buckets.get(key, ()):
                 out.append(self._merge(left, right, right_table))
-                self.stats.rows_joined += 1
+                self._m_rows_joined.inc()
         return out
 
     def join(

@@ -348,7 +348,13 @@ class Session:
         return {"oid": to_wire(oid)}
 
     def _op_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return to_wire(self.db.stats.snapshot())
+        return to_wire(
+            {
+                "objects": len(self.db.storage.directory),
+                "metrics": self.db.metrics.snapshot(),
+                "querystats": self.db.query_stats.rows(),
+            }
+        )
 
     # -- param / row helpers -------------------------------------------------
 

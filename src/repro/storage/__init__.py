@@ -1,6 +1,6 @@
 """Storage substrate: pages, buffer pool, heaps, object directory."""
 
-from .buffer import BufferPool, BufferStats
+from .buffer import BufferPool
 from .clustering import (
     AttributeClustering,
     ClusteringPolicy,
@@ -16,7 +16,6 @@ from .serializer import decode_object, encode_object
 
 __all__ = [
     "BufferPool",
-    "BufferStats",
     "ClusteringPolicy",
     "NoClustering",
     "CompositeClustering",

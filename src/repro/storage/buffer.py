@@ -11,89 +11,12 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from ..errors import PageCorruptError, StorageError
 from ..obs.metrics import MetricsRegistry
 from ..obs.waits import WaitProfiler
 from .page import SlottedPage
-
-
-class BufferStats:
-    """Hit/fault counters — a view over ``buffer.*`` registry metrics.
-
-    Also registers the derived ``buffer.hit_rate`` metric so a single
-    ``MetricsRegistry.snapshot()`` answers "how warm is the pool?"
-    without the hot path paying for a division per access.
-    """
-
-    __slots__ = ("_hits", "_faults", "_evictions", "_flushes", "_corruptions")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._hits = registry.counter("buffer.hits")
-        self._faults = registry.counter("buffer.faults")
-        self._evictions = registry.counter("buffer.evictions")
-        self._flushes = registry.counter("buffer.flushes")
-        #: Checksum failures detected on page reads — the engine-side
-        #: detection counter of the ``fault.*`` family.
-        self._corruptions = registry.counter("fault.page_corruptions")
-        registry.derived("buffer.hit_rate", lambda: self.hit_rate)
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def faults(self) -> int:
-        return self._faults.value
-
-    @faults.setter
-    def faults(self, value: int) -> None:
-        self._faults.value = value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
-
-    @property
-    def flushes(self) -> int:
-        return self._flushes.value
-
-    @flushes.setter
-    def flushes(self, value: int) -> None:
-        self._flushes.value = value
-
-    def reset(self) -> None:
-        self._hits.reset()
-        self._faults.reset()
-        self._evictions.reset()
-        self._flushes.reset()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.faults
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "faults": self.faults,
-            "evictions": self.evictions,
-            "flushes": self.flushes,
-        }
 
 
 class BufferPool:
@@ -112,13 +35,31 @@ class BufferPool:
         self.capacity = capacity
         self._frames: "OrderedDict[int, SlottedPage]" = OrderedDict()
         self._dirty: Set[int] = set()
-        self.stats = BufferStats(registry)
+        #: Hit/fault counters live in ``buffer.*``; a pool built without
+        #: a registry gets a private one, so standalone pools (tests)
+        #: stay isolated while a database's pool shares its registry.
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_hits = self.metrics.counter("buffer.hits")
+        self._m_faults = self.metrics.counter("buffer.faults")
+        self._m_evictions = self.metrics.counter("buffer.evictions")
+        self._m_flushes = self.metrics.counter("buffer.flushes")
+        #: Checksum failures detected on page reads — the engine-side
+        #: detection counter of the ``fault.*`` family.
+        self._m_corruptions = self.metrics.counter("fault.page_corruptions")
+        # Derived, so one snapshot answers "how warm is the pool?"
+        # without the hot path paying for a division per access.
+        self.metrics.derived("buffer.hit_rate", self._hit_rate)
         self._waits = waits
         # Torn-page protection hooks (attached by the Database once the
         # WAL exists): log a full page image before the page write, and
         # make logged images durable.  Both None when no WAL is wired.
         self._image_log = None
         self._image_sync = None
+
+    def _hit_rate(self) -> float:
+        hits = self._m_hits.value
+        total = hits + self._m_faults.value
+        return hits / total if total else 0.0
 
     @property
     def page_size(self) -> int:
@@ -143,9 +84,9 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is not None:
             self._frames.move_to_end(page_id)
-            self.stats._hits.inc()
+            self._m_hits.inc()
             return frame
-        self.stats._faults.inc()
+        self._m_faults.inc()
         try:
             if self._waits is None:
                 frame = SlottedPage.from_bytes(
@@ -162,7 +103,7 @@ class BufferPool:
                     target="page:%d" % page_id,
                 )
         except PageCorruptError:
-            self.stats._corruptions.inc()
+            self._m_corruptions.inc()
             raise
         self._admit(page_id, frame)
         return frame
@@ -209,15 +150,15 @@ class BufferPool:
         if victim_id in self._dirty:
             self._write_back(victim_id, victim)
             self._dirty.discard(victim_id)
-            self.stats._flushes.inc()
-        self.stats._evictions.inc()
+            self._m_flushes.inc()
+        self._m_evictions.inc()
 
     def flush_page(self, page_id: int, image_logged: bool = False) -> None:
         frame = self._frames.get(page_id)
         if frame is not None and page_id in self._dirty:
             self._write_back(page_id, frame, image_logged=image_logged)
             self._dirty.discard(page_id)
-            self.stats._flushes.inc()
+            self._m_flushes.inc()
 
     def flush_all(self) -> None:
         dirty = sorted(self._dirty)

@@ -7,7 +7,6 @@ from .locks import (
     S,
     X,
     LockManager,
-    LockStats,
     class_resource,
     compatible,
     object_resource,
@@ -34,7 +33,6 @@ __all__ = [
     "S",
     "X",
     "LockManager",
-    "LockStats",
     "class_resource",
     "compatible",
     "object_resource",

@@ -90,64 +90,6 @@ def compatible(held: str, requested: str) -> bool:
     return _COMPATIBLE[(held, requested)]
 
 
-class LockStats:
-    """Lock-table counters — a view over ``locks.*`` registry metrics.
-
-    ``blocks`` counts waits (the registry name is ``locks.waits``); the
-    ``locks.wait_seconds`` histogram records how long each blocked
-    acquisition actually waited before being granted or giving up.
-    """
-
-    __slots__ = ("_acquisitions", "_upgrades", "_blocks", "_deadlocks", "wait_seconds")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._acquisitions = registry.counter("locks.acquisitions")
-        self._upgrades = registry.counter("locks.upgrades")
-        self._blocks = registry.counter("locks.waits")
-        self._deadlocks = registry.counter("locks.deadlocks")
-        self.wait_seconds = registry.histogram("locks.wait_seconds")
-
-    @property
-    def acquisitions(self) -> int:
-        return self._acquisitions.value
-
-    @acquisitions.setter
-    def acquisitions(self, value: int) -> None:
-        self._acquisitions.value = value
-
-    @property
-    def upgrades(self) -> int:
-        return self._upgrades.value
-
-    @upgrades.setter
-    def upgrades(self, value: int) -> None:
-        self._upgrades.value = value
-
-    @property
-    def blocks(self) -> int:
-        return self._blocks.value
-
-    @blocks.setter
-    def blocks(self, value: int) -> None:
-        self._blocks.value = value
-
-    @property
-    def deadlocks(self) -> int:
-        return self._deadlocks.value
-
-    @deadlocks.setter
-    def deadlocks(self, value: int) -> None:
-        self._deadlocks.value = value
-
-    def reset(self) -> None:
-        self._acquisitions.reset()
-        self._upgrades.reset()
-        self._blocks.reset()
-        self._deadlocks.reset()
-        self.wait_seconds.reset()
-
-
 #: Sentinel distinguishing "use the manager's default" from an explicit
 #: ``timeout=None`` (wait forever).
 _DEFAULT_TIMEOUT = object()
@@ -170,7 +112,17 @@ class LockManager:
         self._by_txn: Dict[int, Set[Resource]] = {}
         #: txn_id -> (resource, mode) it is currently waiting for
         self._waiting: Dict[int, Tuple[Resource, str]] = {}
-        self.stats = LockStats(registry)
+        #: Lock-table counters live in ``locks.*`` (``locks.waits``
+        #: counts blocked acquisitions; the ``locks.wait_seconds``
+        #: histogram records how long each one waited before being
+        #: granted or giving up).  Without a registry the manager gets a
+        #: private one.
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_acquisitions = self.metrics.counter("locks.acquisitions")
+        self._m_upgrades = self.metrics.counter("locks.upgrades")
+        self._m_waits = self.metrics.counter("locks.waits")
+        self._m_deadlocks = self.metrics.counter("locks.deadlocks")
+        self._m_wait_seconds = self.metrics.histogram("locks.wait_seconds")
         self.waits = waits
         #: Timeout applied when ``acquire`` is called without one.  The
         #: server front end shrinks it so a writer/writer conflict
@@ -204,24 +156,24 @@ class LockManager:
                 if self._grantable(txn_id, resource, mode):
                     holders = self._held.setdefault(resource, {})
                     if txn_id in holders:
-                        self.stats._upgrades.inc()
+                        self._m_upgrades.inc()
                     holders[txn_id] = mode
                     self._by_txn.setdefault(txn_id, set()).add(resource)
                     self._waiting.pop(txn_id, None)
-                    self.stats._acquisitions.inc()
+                    self._m_acquisitions.inc()
                     self._record_wait(txn_id, resource, wait_started, first_blocker)
                     return
                 # Must wait: record the edge, check for deadlock.
                 self._waiting[txn_id] = (resource, mode)
                 if self._creates_deadlock(txn_id):
                     self._waiting.pop(txn_id, None)
-                    self.stats._deadlocks.inc()
+                    self._m_deadlocks.inc()
                     self._record_wait(txn_id, resource, wait_started, first_blocker)
                     raise DeadlockError(
                         "transaction %d aborted: lock on %r would deadlock"
                         % (txn_id, resource)
                     )
-                self.stats._blocks.inc()
+                self._m_waits.inc()
                 if wait_started is None:
                     wait_started = time.perf_counter()
                     blockers = self._blockers(txn_id, resource, mode)
@@ -256,7 +208,7 @@ class LockManager:
         if wait_started is None:
             return
         waited = time.perf_counter() - wait_started
-        self.stats.wait_seconds.observe(waited)
+        self._m_wait_seconds.observe(waited)
         if self.waits is not None:
             self.waits.record(
                 "Lock",

@@ -124,8 +124,6 @@ class TransactionManager:
         self._id_mutex = threading.Lock()
         self._active: Dict[int, Transaction] = {}
         self._current = threading.local()
-        self.committed_count = 0
-        self.aborted_count = 0
         if registry is not None:
             self._m_active = registry.gauge("txn.active")
             self._m_commits = registry.counter("txn.commits")
@@ -214,7 +212,6 @@ class TransactionManager:
             self.version_store.commit(txn.txn_id)
         txn.status = COMMITTED
         self._finish(txn)
-        self.committed_count += 1
         self._m_commits.inc()
 
     def abort(self, txn: Transaction) -> None:
@@ -227,7 +224,6 @@ class TransactionManager:
             self.version_store.abort(txn.txn_id)
         txn.status = ABORTED
         self._finish(txn)
-        self.aborted_count += 1
         self._m_aborts.inc()
 
     def _finish(self, txn: Transaction) -> None:

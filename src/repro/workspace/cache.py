@@ -33,66 +33,28 @@ _POLICIES = ("lazy", "eager", "none")
 
 
 class WorkspaceStats:
-    """Swizzle-cache counters — a view over ``workspace.*`` metrics.
+    """Read-only ``hits``/``faults``/``loads`` over ``workspace.metrics``.
 
-    Each workspace owns a private registry (``workspace.metrics``):
-    workspaces are per-application caches, and the E5 ablation compares
-    several of them over one database, so their counts must not mix in
-    the database-wide registry.
+    Kept because ``perfbench/kb/oo1.py`` reads these three; everything
+    else reads ``workspace.metrics.value("workspace.hits")`` and friends.
     """
 
-    __slots__ = ("_loads", "_hits", "_faults", "_writebacks")
+    __slots__ = ("_metrics",)
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._loads = registry.counter("workspace.loads")
-        self._hits = registry.counter("workspace.hits")
-        self._faults = registry.counter("workspace.faults")
-        self._writebacks = registry.counter("workspace.writebacks")
-        registry.derived("workspace.hit_rate", lambda: self.hit_rate)
-
-    @property
-    def loads(self) -> int:
-        return self._loads.value
-
-    @loads.setter
-    def loads(self, value: int) -> None:
-        self._loads.value = value
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
 
     @property
     def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
+        return self._metrics.value("workspace.hits")
 
     @property
     def faults(self) -> int:
-        return self._faults.value
-
-    @faults.setter
-    def faults(self, value: int) -> None:
-        self._faults.value = value
+        return self._metrics.value("workspace.faults")
 
     @property
-    def writebacks(self) -> int:
-        return self._writebacks.value
-
-    @writebacks.setter
-    def writebacks(self, value: int) -> None:
-        self._writebacks.value = value
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.faults
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self._loads.reset()
-        self._hits.reset()
-        self._faults.reset()
-        self._writebacks.reset()
+    def loads(self) -> int:
+        return self._metrics.value("workspace.loads")
 
 
 class ObjectWorkspace:
@@ -107,8 +69,22 @@ class ObjectWorkspace:
         self.db = db
         self.policy = policy
         self._resident: Dict[OID, MemoryObject] = {}
+        #: Swizzle-cache counters, ``workspace.*``.  Each workspace owns a
+        #: private registry: workspaces are per-application caches, and
+        #: the E5 ablation compares several of them over one database, so
+        #: their counts must not mix in the database-wide registry.
         self.metrics = MetricsRegistry()
+        self._m_loads = self.metrics.counter("workspace.loads")
+        self._m_hits = self.metrics.counter("workspace.hits")
+        self._m_faults = self.metrics.counter("workspace.faults")
+        self._m_writebacks = self.metrics.counter("workspace.writebacks")
+        self.metrics.derived("workspace.hit_rate", self._hit_rate)
         self.stats = WorkspaceStats(self.metrics)
+
+    def _hit_rate(self) -> float:
+        hits = self._m_hits.value
+        total = hits + self._m_faults.value
+        return hits / total if total else 0.0
 
     # -- loading ------------------------------------------------------------
 
@@ -127,7 +103,7 @@ class ObjectWorkspace:
         """
         resident = self._resident.get(oid)
         if resident is not None:
-            self.stats._hits.inc()
+            self._m_hits.inc()
             return resident
         memory_object = self._admit(oid)
         if self.policy == "eager":
@@ -139,9 +115,9 @@ class ObjectWorkspace:
         return memory_object
 
     def _admit(self, oid: OID) -> MemoryObject:
-        self.stats._faults.inc()
+        self._m_faults.inc()
         state = self.db.get_state(oid)
-        self.stats._loads.inc()
+        self._m_loads.inc()
         memory_object = MemoryObject(state.oid, state.class_name, dict(state.values), self)
         self._resident[oid] = memory_object
         if self.policy != "none":
@@ -218,7 +194,7 @@ class ObjectWorkspace:
             for memory_object in dirty:
                 self.db.update(memory_object.oid, memory_object.to_state_values())
                 memory_object.dirty = False
-                self.stats._writebacks.inc()
+                self._m_writebacks.inc()
         return len(dirty)
 
     def evict(self, oid: OID) -> None:

@@ -14,7 +14,7 @@ from repro.storage.clustering import (
 def traversal_faults(db, root_oid):
     """Cold-cache page faults for a full composite traversal."""
     db.storage.drop_cache()
-    db.storage.buffer.stats.reset()
+    db.metrics.reset("buffer.")
     stack = [root_oid]
     seen = set()
     while stack:
@@ -25,7 +25,7 @@ def traversal_faults(db, root_oid):
         state = db.storage.load(oid)
         for child in state.values.get("subassemblies", []):
             stack.append(child)
-    return db.storage.buffer.stats.faults, len(seen)
+    return db.metrics.value("buffer.faults"), len(seen)
 
 
 class TestPolicies:

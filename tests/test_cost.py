@@ -259,7 +259,7 @@ class TestCostDecisions:
             result = db.execute("SELECT i FROM Item i WHERE i.a = 7")
             assert isinstance(result.plan.access, IndexEqProbe)
             assert sorted(db.get_state(oid).values["a"] for oid in result.oids) == [7, 7]
-            assert result.stats.examined == 2
+            assert result.pipeline.examined == 2
 
 
 # -- live statistics (property) ----------------------------------------------
@@ -385,7 +385,7 @@ class TestPlanCacheRecost:
         fresh = db.plan(self.SOURCE)
         assert not fresh.cached
         assert isinstance(fresh.access, IndexEqProbe)
-        assert db.execute(self.SOURCE).stats.matched == 1
+        assert db.execute(self.SOURCE).pipeline.matched == 1
 
     def test_sysplancache_reports_cost_mode(self):
         db = _db(list(range(50)))

@@ -62,9 +62,9 @@ class TestSingleClassIndex:
     def test_noop_update_skips_maintenance(self, vdb):
         index = vdb.create_class_index("Vehicle", "weight")
         handle = vdb.new("Vehicle", {"weight": 444, "color": "red"})
-        inserts_before = index.stats.inserts
+        inserts_before = vdb.metrics.value("index.sc_Vehicle_weight.inserts")
         vdb.update(handle.oid, {"color": "blue"})
-        assert index.stats.inserts == inserts_before
+        assert vdb.metrics.value("index.sc_Vehicle_weight.inserts") == inserts_before
 
 
 class TestClassHierarchyIndex:
@@ -196,6 +196,23 @@ class TestIndexManager:
         assert "w" not in vdb.indexes.names()
         with pytest.raises(SchemaError):
             vdb.indexes.drop_index("w")
+
+    def test_drop_index_takes_its_counters_along(self):
+        db = Database()
+        db.define_class("Row", attributes=[AttributeDef("n", "Integer")])
+        for n in range(50):
+            db.new("Row", {"n": n})
+        db.create_class_index("Row", "n", name="ix")
+        assert db.metrics.value("index.ix.inserts") == 50
+        db.indexes.drop_index("ix")
+        assert not db.metrics.snapshot("index.ix.")
+        assert not db.select("SysStat where name = 'index.ix.inserts'")
+        for n in range(50, 60):
+            db.new("Row", {"n": n})
+        index = db.create_class_index("Row", "n", name="ix")
+        # A re-created index of the same name counts from zero.
+        assert len(index) == 60
+        assert db.metrics.value("index.ix.inserts") == 60
 
     def test_selection_prefers_nested_over_hierarchy(self, vdb):
         vdb.create_hierarchy_index("Vehicle", "weight")

@@ -109,13 +109,13 @@ class TestSnapshotReads:
     def test_snapshot_reads_take_zero_scan_locks(self):
         db = _vehicle_db()
         try:
-            baseline = db.locks.stats.acquisitions
+            baseline = db.metrics.value("locks.acquisitions")
             result = db.execute("Vehicle where weight > 1003")
             assert len(result) == 8
-            assert db.locks.stats.acquisitions == baseline
+            assert db.metrics.value("locks.acquisitions") == baseline
             with db.select_iter("Vehicle where color = 'red'") as stream:
                 assert sum(1 for _ in stream) == 6
-            assert db.locks.stats.acquisitions == baseline
+            assert db.metrics.value("locks.acquisitions") == baseline
         finally:
             db.close()
 
@@ -198,8 +198,8 @@ class TestSnapshotReads:
                 result = db.execute("Vehicle where weight = 1003")
                 assert len(result.oids) == 1
                 assert isinstance(result.plan.access, IndexEqProbe)
-                assert result.stats.index_probes == 1
-                assert result.stats.examined == 1
+                assert result.pipeline.index_probes == 1
+                assert result.pipeline.examined == 1
                 assert not any("downgrade" in note for note in result.plan.notes)
                 assert db.execute("Vehicle where weight = 4444").oids == []
             assert "txn.snapshot.plan_downgrades" not in db.metrics.snapshot()
@@ -230,7 +230,7 @@ class TestSnapshotReads:
             result = db.execute("Item where n = 7")
             assert result.plan.cached
             assert isinstance(result.plan.access, IndexEqProbe)
-            assert result.stats.examined == result.stats.matched == 1
+            assert result.pipeline.examined == result.pipeline.matched == 1
         finally:
             db.close()
 
@@ -250,10 +250,10 @@ class TestSnapshotReads:
     def test_snapshot_reads_off_restores_scan_locks(self):
         db = _vehicle_db(snapshot_reads=False)
         try:
-            baseline = db.locks.stats.acquisitions
+            baseline = db.metrics.value("locks.acquisitions")
             with db.transaction():
                 db.execute("Vehicle where weight > 1003")
-                assert db.locks.stats.acquisitions > baseline
+                assert db.metrics.value("locks.acquisitions") > baseline
             assert db.version_store.entry_count == 0
         finally:
             db.close()
@@ -462,7 +462,7 @@ def test_order_scan_merges_changed_keys_and_stops_early():
             again = db.execute("SELECT v FROM Vehicle v ORDER BY v.price LIMIT 3")
             assert again.oids == top.oids
             # The walk stopped after the LIMIT: nowhere near the extent.
-            assert again.stats.examined <= 3 + db.version_store.entry_count
+            assert again.pipeline.examined <= 3 + db.version_store.entry_count
     finally:
         db.close()
 

@@ -252,7 +252,7 @@ class TestExplainAnalyze:
         assert access["op"] == "index-eq-probe"
         assert access["meta"]["access"] == "index"
         assert access["actual_rows"] == 1
-        assert result.result.stats.index_probes == 1
+        assert result.result.pipeline.index_probes == 1
         assert "index-eq-probe" in str(result)
 
     def test_project_and_limit_nodes(self):
@@ -285,7 +285,6 @@ class TestEngineWiring:
         assert snap["index.sc_Vehicle_weight.probes"] == 1
         assert snap["query.executes"] == 1
         assert snap["query.seconds"]["count"] == 1
-        assert db.stats.snapshot()["metrics"] == snap
 
     def test_query_spans_nest_under_execute(self):
         db = _vehicle_db()
@@ -301,8 +300,10 @@ class TestEngineWiring:
         result = db.execute("SELECT t FROM Thing t WHERE t.n = 1")
         assert len(result) == 1
         assert db.metrics.snapshot() == {}
-        # Legacy stats accessors still answer (as zeros) on the off path.
-        assert db.storage.buffer.stats.hits == 0
+        # Registry reads still answer (zero, empty) on the off path.
+        assert db.metrics.value("buffer.hits") == 0
+        assert db.metrics.value("txn.commits") == 0
+        assert db.metrics.snapshot("buffer.") == {}
 
     def test_slow_op_threshold_plumbed_through(self):
         db = Database(slow_op_threshold=0.0)  # everything is "slow"

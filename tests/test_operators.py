@@ -144,9 +144,9 @@ class TestOrderedIndexScan:
         assert len(result.oids) == 10
         # The deref stage fed by the ordered walk stopped after the
         # LIMIT was satisfied — nowhere near the full extent.
-        assert result.stats.examined < n
-        assert result.stats.examined <= 20
-        assert result.pipeline.source.rows_out == result.stats.examined
+        assert result.pipeline.examined < n
+        assert result.pipeline.examined <= 20
+        assert result.pipeline.source.rows_out == result.pipeline.examined
 
     def test_explain_analyze_reports_live_counters(self, big_indexed_db):
         n = big_indexed_db.count("Vehicle")
@@ -174,7 +174,7 @@ class TestOrderedIndexScan:
         )
         limited = big_indexed_db.execute(query)
         assert limited.oids == full.oids[:10]
-        assert limited.stats.examined < n
+        assert limited.pipeline.examined < n
 
 
 class TestSelectIter:
@@ -197,13 +197,13 @@ class TestSelectIter:
         iterator.close()  # generator close propagates to pipeline close
 
     def test_mid_stream_close_releases_snapshot_and_operators(self, populated_db):
-        locks_before = populated_db.locks.stats.acquisitions
+        locks_before = populated_db.metrics.value("locks.acquisitions")
         stream = populated_db.select_iter("SELECT v FROM Vehicle v")
         next(stream)
         next(stream)
         # Snapshot reads: the stream runs lock-free against its begin
         # snapshot — no transaction, no scan locks, one live snapshot.
-        assert populated_db.locks.stats.acquisitions == locks_before
+        assert populated_db.metrics.value("locks.acquisitions") == locks_before
         assert populated_db.txns.active_transactions() == []
         assert populated_db.version_store.live_snapshots()
         stream.close()
@@ -269,8 +269,8 @@ class TestPipelineCounters:
         ops = [entry["op"] for entry in stats]
         assert ops == ["extent-scan", "filter", "sort", "limit"]
         by_op = {entry["op"]: entry for entry in stats}
-        assert by_op["extent-scan"]["rows_out"] == result.stats.examined
-        assert by_op["filter"]["rows_out"] == result.stats.matched
+        assert by_op["extent-scan"]["rows_out"] == result.pipeline.examined
+        assert by_op["filter"]["rows_out"] == result.pipeline.matched
         assert by_op["limit"]["rows_out"] == 3
 
     def test_projection_streams_with_oids_aligned(self, populated_db):

@@ -29,7 +29,7 @@ from repro.obs.stats import StatisticsCatalog, equi_depth_boundaries
 from repro.obs.waits import WaitProfiler
 from repro.server import Client, Server
 from repro.server import protocol
-from repro.server.session import Session
+from repro.server.session import Session, SessionRegistry
 
 
 REPEATED = "SELECT v FROM Vehicle v WHERE v.weight >= 920"
@@ -231,12 +231,12 @@ class TestSysQueryStat:
         db.close()
 
     def test_stats_snapshot_carries_querystats(self):
-        # The server "stats" op serves DatabaseStats.snapshot() verbatim,
-        # so this is the wire payload's shape.
+        # The server "stats" op's payload, built by the session handler.
         db = _vehicle_db()
         db.execute(REPEATED)
-        snap = db.stats.snapshot()
-        assert snap["querystats"][0]["calls"] == 1
+        session = SessionRegistry(db).create()
+        response = session.handle({"id": 1, "op": "stats"})
+        assert response["result"]["querystats"][0]["calls"] == 1
         db.close()
 
     def test_semantic_gate_and_explain_on_sysquerystat(self):

@@ -158,6 +158,12 @@ class TestBasicOps:
     def test_stats_op(self, client):
         snapshot = client.stats()
         assert snapshot["objects"] >= 24
+        # Counters travel by registry name; there are no per-subsystem
+        # copies beside the metrics snapshot.
+        assert snapshot["metrics"]["buffer.hits"] > 0
+        assert snapshot["metrics"]["txn.commits"] >= 24
+        assert isinstance(snapshot["querystats"], list)
+        assert not {"buffer", "pager", "locks", "transactions"} & set(snapshot)
 
 
 class TestSessionTransactions:

@@ -90,7 +90,7 @@ class TestTransactionLifecycle:
 
     def test_autocommit_single_op(self, adb):
         account = adb.new("Account", {"balance": 5})
-        assert adb.txns.committed_count >= 1
+        assert adb.metrics.value("txn.commits") >= 1
         assert adb.exists(account.oid)
 
     def test_locks_released_after_commit(self, adb):

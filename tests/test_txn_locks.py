@@ -43,7 +43,7 @@ class TestAcquisition:
         locks = LockManager()
         locks.acquire(1, DATABASE, IS)
         locks.acquire(1, DATABASE, IS)
-        assert locks.stats.acquisitions == 1
+        assert locks.metrics.value("locks.acquisitions") == 1
 
     def test_upgrade_s_to_x(self):
         locks = LockManager()
@@ -51,7 +51,7 @@ class TestAcquisition:
         locks.acquire(1, resource, S)
         locks.acquire(1, resource, X)
         assert locks.holds(1, resource, X)
-        assert locks.stats.upgrades == 1
+        assert locks.metrics.value("locks.upgrades") == 1
 
     def test_weaker_request_covered_by_stronger_hold(self):
         locks = LockManager()
@@ -73,7 +73,7 @@ class TestAcquisition:
         locks.acquire(1, resource, X)
         with pytest.raises(LockTimeoutError):
             locks.acquire(2, resource, S, timeout=0.05)
-        assert locks.stats.blocks >= 1
+        assert locks.metrics.value("locks.waits") >= 1
 
     def test_release_all_unblocks_waiters(self):
         locks = LockManager()
@@ -167,7 +167,7 @@ class TestDeadlock:
             locks.release_all(2)
         thread.join(timeout=5)
         assert len(errors) >= 1
-        assert locks.stats.deadlocks >= 1
+        assert locks.metrics.value("locks.deadlocks") >= 1
 
     def test_self_conflict_is_not_deadlock(self):
         locks = LockManager()

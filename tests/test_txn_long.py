@@ -118,9 +118,9 @@ class TestOptimisticWorkspace:
         workspace.checkout([a.oid, b.oid])
         workspace.update(a.oid, {"revision": 1})
         workspace.update(b.oid, {"revision": 1})
-        committed_before = ddb.txns.committed_count
+        committed_before = ddb.metrics.value("txn.commits")
         workspace.checkin()
-        assert ddb.txns.committed_count == committed_before + 1
+        assert ddb.metrics.value("txn.commits") == committed_before + 1
 
 
 class TestPessimisticWorkspace:

@@ -44,8 +44,8 @@ class TestLoadingAndPolicies:
         first = workspace.load(oids[0])
         again = workspace.load(oids[0])
         assert first is again
-        assert workspace.stats.hits == 1
-        assert workspace.stats.faults == 1
+        assert workspace.metrics.value("workspace.hits") == 1
+        assert workspace.metrics.value("workspace.faults") == 1
 
     def test_lazy_policy_installs_fault_descriptors(self, graph_db):
         oids = make_chain(graph_db, 2)
@@ -82,9 +82,9 @@ class TestTraversal:
         assert middle["label"] == "n1"
         # After the first traversal the slot holds a direct pointer.
         assert root.values["next"] is middle
-        faults_before = workspace.stats.faults
+        faults_before = workspace.metrics.value("workspace.faults")
         assert root.ref("next") is middle
-        assert workspace.stats.faults == faults_before
+        assert workspace.metrics.value("workspace.faults") == faults_before
 
     def test_refs_multi(self, graph_db):
         targets = [graph_db.new("Node", {"label": "t%d" % i}) for i in range(3)]
