@@ -38,7 +38,7 @@ from .query.executor import Executor, ResultSet
 from .query.parser import parse_query
 from .query.planner import EmptyScan, Plan, Planner
 from .storage.clustering import ClusteringPolicy, NoClustering
-from .storage.manager import StorageManager
+from .storage.manager import ReadSet, StorageManager
 from .txn.locks import (
     DATABASE,
     IS,
@@ -302,6 +302,8 @@ class Database:
         #: queries never overwrite it — observing must not perturb the
         #: observed); served by the SysOperator view.
         self.last_operator_stats: Optional[List[Dict[str, Any]]] = None
+        #: ``_declared`` results, keyed by (class, read set, schema version).
+        self._declared_cache: Dict[Any, Dict[str, Any]] = {}
         self._executor = Executor(
             self._deref, self._scan_coerced, self.send, self._adt_eval,
             metrics=self.metrics,
@@ -371,7 +373,7 @@ class Database:
             self.schema = Schema.from_dict(catalog)
             # Rewire everything that captured the old schema.
             self.indexes = IndexManager(
-                self.schema, self.storage.scan_class, self._deref, self.metrics
+                self.schema, self._scan_coerced, self._deref, self.metrics
             )
             self.planner = Planner(
                 self.schema, self.indexes, self.storage, system_catalog=self.syscat
@@ -387,7 +389,13 @@ class Database:
 
             self.statistics = StatisticsCatalog.from_dict(stats_payload)
         if recover_on_open:
-            _recover(self.wal, self.storage, registry=self.metrics)
+            try:
+                _recover(self.wal, self.storage, registry=self.metrics)
+            except BaseException:
+                # A refused or crashed recovery leaves nothing open.
+                self.storage.pager.close()
+                self.wal.close()
+                raise
         self._oids.advance_past(self.storage.directory.max_oid_value())
 
     def checkpoint(self) -> None:
@@ -517,14 +525,15 @@ class Database:
     # internal plumbing
     # ------------------------------------------------------------------
 
-    def _coerce(self, state: ObjectState) -> ObjectState:
+    def _coerce(self, state: ObjectState, read: ReadSet = None) -> ObjectState:
         """Lazy schema-evolution coercion [BANE87].
 
         Stored records written under an older class definition are
         adjusted on load: missing declared attributes take their default,
         values for dropped attributes disappear.  The stored record is
-        untouched (metadata-only evolution, experiment E12)."""
-        declared = self.schema.attributes(state.class_name)
+        untouched (metadata-only evolution, experiment E12).  Under a
+        read set only the declared attributes it names are kept."""
+        declared = self._declared(state.class_name, read)
         if state.values.keys() == declared.keys():
             return state
         values = {
@@ -535,15 +544,36 @@ class Database:
                 values[name] = attr.default_value()
         return ObjectState(state.oid, state.class_name, values)
 
-    def _deref(self, oid: OID) -> Optional[ObjectState]:
+    def _declared(self, class_name: str, read: ReadSet) -> Dict[str, Any]:
+        """The declared attributes of ``class_name`` a coerced state of
+        it holds under ``read``, cached per (class, read set, schema
+        version)."""
+        key = (class_name, read, self.schema.version)
+        declared = self._declared_cache.get(key)
+        if declared is None:
+            declared = self.schema.attributes(class_name)
+            if read is not None:
+                declared = {
+                    name: attr for name, attr in declared.items() if name in read
+                }
+            if len(self._declared_cache) >= 1024:
+                self._declared_cache.clear()
+            self._declared_cache[key] = declared
+        return declared
+
+    def _deref(self, oid: OID, read: ReadSet = None) -> Optional[ObjectState]:
         try:
-            return self._coerce(self.storage.load(oid))
+            return self._coerce(self.storage.load(oid, read), read)
         except ObjectNotFoundError:
             return None
 
-    def _scan_coerced(self, class_name: str) -> Iterator[ObjectState]:
-        for state in self.storage.scan_class(class_name):
-            yield self._coerce(state)
+    def _scan_coerced(self, class_name: str, read: ReadSet = None) -> Iterator[ObjectState]:
+        declared = self._declared(class_name, read).keys()
+        for state in self.storage.scan_class(class_name, read):
+            if state.values.keys() == declared:
+                yield state
+            else:
+                yield self._coerce(state, read)
 
     def _deref_class(self, oid: OID) -> Optional[str]:
         entry = self.storage.directory.try_lookup(oid)

@@ -18,14 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import FederationError
-from ..query.ast import (
-    And,
-    Comparison,
-    Expr,
-    Not,
-    Or,
-    Query,
-)
+from ..query.ast import AdtPredicate, Expr, MethodCall, Query
 from ..query.operators import (
     FilterOp,
     LimitOp,
@@ -35,7 +28,7 @@ from ..query.operators import (
     VirtualScanOp,
 )
 from ..query.parser import parse_query
-from ..query.paths import compare
+from ..query.algebra import Predicate, compile_predicate, expression_nodes
 from .hierarchical import HierarchicalDatabase
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,8 +186,21 @@ class FederationKernel:
     def row_class(self, row: Row) -> str:
         return self.class_name
 
-    def matches(self, expr: Expr, row: Row) -> bool:
-        return self.federation._evaluate(self.class_name, row, expr)
+    def compile(self, expr: Expr) -> Predicate:
+        """The WHERE as one closure, navigating cross-source references
+        through the catalog; comparisons and boolean operators only."""
+        for node in expression_nodes(expr):
+            if isinstance(node, (MethodCall, AdtPredicate)):
+                raise FederationError(
+                    "federated queries support comparisons and boolean operators only"
+                )
+        return compile_predicate(expr, self._path)
+
+    @staticmethod
+    def _path(steps: Tuple[str, ...]):
+        return lambda row, kernel: kernel.federation._path_values(
+            kernel.class_name, row, steps
+        )
 
     def sort(
         self,
@@ -304,20 +310,6 @@ class Federation:
                 return values
             current = next_rows
         return []
-
-    def _evaluate(self, class_name: str, row: Row, expr: Expr) -> bool:
-        if isinstance(expr, Comparison):
-            values = self._path_values(class_name, row, expr.path.steps)
-            return any(compare(expr.op, v, expr.const.value) for v in values)
-        if isinstance(expr, And):
-            return all(self._evaluate(class_name, row, op) for op in expr.operands)
-        if isinstance(expr, Or):
-            return any(self._evaluate(class_name, row, op) for op in expr.operands)
-        if isinstance(expr, Not):
-            return not self._evaluate(class_name, row, expr.operand)
-        raise FederationError(
-            "federated queries support comparisons and boolean operators only"
-        )
 
     def pipeline(self, query: Query) -> PhysicalOperator:
         """Compile a federated query into a physical operator chain.

@@ -11,7 +11,20 @@ projection along paths, set operations by object identity, and unnest.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -24,61 +37,148 @@ from .ast import (
     Not,
     Or,
 )
-from .paths import Deref, compare, evaluate_path
+from .paths import Deref, compile_test, evaluate_path
 
 #: Sends a message to an object and returns the result (late binding);
 #: wired to ``Database.send`` by the executor.
 Sender = Callable[[OID, str], Any]
 
+#: A compiled WHERE: ``predicate(row, kernel)`` is true when the row
+#: matches.  The kernel supplies ``deref`` (path navigation), ``send``
+#: (method predicates) and ``adt_eval`` (ADT predicates).
+Predicate = Callable[[Any, Any], bool]
+#: Compiles a path's steps into ``values(row, kernel)``: all its
+#: terminal values, fanned out (existential semantics).
+PathCompiler = Callable[[Tuple[str, ...]], Callable[[Any, Any], List[Any]]]
 
-def evaluate_predicate(
-    expr: Expr,
-    state: ObjectState,
-    deref: Deref,
-    send: Optional[Callable[..., Any]] = None,
-    adt_eval: Optional[Callable[[AdtPredicate, ObjectState], bool]] = None,
-) -> bool:
-    """Evaluate a boolean expression against one object.
 
-    Path comparisons use existential semantics over fan-out values.
-    Method predicates need ``send``; ADT predicates need ``adt_eval`` —
-    both raise if required but not provided.
+def expression_nodes(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every node below it, pre-order."""
+    yield expr
+    for child in expr.children():
+        yield from expression_nodes(child)
+
+
+def read_set(query) -> Optional[FrozenSet[str]]:
+    """The attribute names a query reads, or None for whole objects.
+
+    The union of every step of every path in the WHERE, ORDER BY,
+    projections, aggregates and GROUP BY: an extent scan and every
+    dereference under the plan need decode only these.  A method or ADT
+    predicate hands whole objects to code the plan cannot see into, so
+    it makes the read set None.
+    """
+    names: Set[str] = set()
+    if query.where is not None:
+        for node in expression_nodes(query.where):
+            if isinstance(node, (MethodCall, AdtPredicate)):
+                return None
+            if isinstance(node, Comparison):
+                names.update(node.path.steps)
+    paths = list(query.projections or [])
+    paths.extend(agg.path for agg in query.aggregates or [] if agg.path is not None)
+    paths.extend(path for path in (query.order_by, query.group_by) if path is not None)
+    for path in paths:
+        names.update(path.steps)
+    return frozenset(names)
+
+
+def compile_path(steps: Tuple[str, ...]) -> Callable[[Any, Any], List[Any]]:
+    """Terminal values of a path over object states (:func:`evaluate_path`)."""
+    if len(steps) > 1:
+        return lambda row, kernel: evaluate_path(row, steps, kernel.deref)
+    (attribute,) = steps
+
+    def values(row: ObjectState, kernel: Any) -> List[Any]:
+        value = row.values.get(attribute)
+        return value if isinstance(value, list) else [value]
+
+    return values
+
+
+def compile_predicate(expr: Expr, path: PathCompiler = compile_path) -> Predicate:
+    """Compile a boolean expression into one closure over ``(row, kernel)``.
+
+    The one predicate evaluator: compiled once per plan, it matches
+    exactly as an AST walk would — existential semantics over fan-out
+    values, ``compare``'s typing rules, short-circuit AND/OR in operand
+    order — and dereferences exactly the same objects.  Single-step
+    comparisons over object states read the attribute directly.  Method
+    predicates need ``kernel.send``; ADT predicates need
+    ``kernel.adt_eval`` — both raise if required but not provided.
     """
     if isinstance(expr, Comparison):
-        values = evaluate_path(state, expr.path.steps, deref)
-        return any(compare(expr.op, value, expr.const.value) for value in values)
-    if isinstance(expr, And):
-        return all(
-            evaluate_predicate(op, state, deref, send, adt_eval) for op in expr.operands
-        )
-    if isinstance(expr, Or):
-        return any(
-            evaluate_predicate(op, state, deref, send, adt_eval) for op in expr.operands
-        )
+        test = compile_test(expr.op, expr.const.value)
+        steps = expr.path.steps
+        if path is compile_path and len(steps) == 1:
+            (attribute,) = steps
+
+            def compare_attribute(row: Any, kernel: Any) -> bool:
+                value = row.values.get(attribute)
+                if isinstance(value, list):
+                    for element in value:
+                        if test(element):
+                            return True
+                    return False
+                return test(value)
+
+            return compare_attribute
+        values_of = path(steps)
+
+        def compare_path(row: Any, kernel: Any) -> bool:
+            for value in values_of(row, kernel):
+                if test(value):
+                    return True
+            return False
+
+        return compare_path
+    if isinstance(expr, (And, Or)):
+        parts = [compile_predicate(operand, path) for operand in expr.operands]
+        if len(parts) == 2:
+            first, second = parts
+            if isinstance(expr, And):
+                return lambda row, kernel: first(row, kernel) and second(row, kernel)
+            return lambda row, kernel: first(row, kernel) or second(row, kernel)
+        if isinstance(expr, And):
+            return lambda row, kernel: all(part(row, kernel) for part in parts)
+        return lambda row, kernel: any(part(row, kernel) for part in parts)
     if isinstance(expr, Not):
-        return not evaluate_predicate(expr.operand, state, deref, send, adt_eval)
+        inner = compile_predicate(expr.operand, path)
+        return lambda row, kernel: not inner(row, kernel)
     if isinstance(expr, MethodCall):
+        return _compile_method(expr, path)
+    if isinstance(expr, AdtPredicate):
+
+        def adt(row: Any, kernel: Any) -> bool:
+            if kernel.adt_eval is None:
+                raise ValueError("ADT predicates require an ADT evaluator")
+            return bool(kernel.adt_eval(expr, row))
+
+        return adt
+    raise ValueError("unknown expression node %r" % (expr,))
+
+
+def _compile_method(expr: MethodCall, path: PathCompiler) -> Predicate:
+    test = compile_test(expr.op, expr.const.value)
+    receivers_of = path(expr.path.steps) if expr.path is not None else None
+    selector, args = expr.selector, tuple(expr.args)
+
+    def method(row: Any, kernel: Any) -> bool:
+        send = kernel.send
         if send is None:
             raise ValueError("method predicates require a message sender")
-        receivers: List[OID]
-        if expr.path is None:
-            receivers = [state.oid]
+        if receivers_of is None:
+            receivers = [row.oid]
         else:
             receivers = [
-                value
-                for value in evaluate_path(state, expr.path.steps, deref)
-                if isinstance(value, OID)
+                value for value in receivers_of(row, kernel) if isinstance(value, OID)
             ]
         for receiver in receivers:
-            result = send(receiver, expr.selector, *expr.args)
-            if compare(expr.op, result, expr.const.value):
+            if test(send(receiver, selector, *args)):
                 return True
         return False
-    if isinstance(expr, AdtPredicate):
-        if adt_eval is None:
-            raise ValueError("ADT predicates require an ADT evaluator")
-        return adt_eval(expr, state)
-    raise ValueError("unknown expression node %r" % (expr,))
+
+    return method
 
 
 def select(
@@ -89,8 +189,10 @@ def select(
     adt_eval: Optional[Callable[[AdtPredicate, ObjectState], bool]] = None,
 ) -> Iterator[ObjectState]:
     """sigma: keep the objects satisfying the predicate."""
+    matches = compile_predicate(predicate)
+    kernel = SimpleNamespace(deref=deref, send=send, adt_eval=adt_eval)
     for state in extent:
-        if evaluate_predicate(predicate, state, deref, send, adt_eval):
+        if matches(state, kernel):
             yield state
 
 

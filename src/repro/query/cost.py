@@ -46,7 +46,7 @@ EXPLAIN's ``-- cost --`` section and the plan cache's re-cost protocol.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .ast import AdtPredicate, And, Comparison, Expr, Not, Or, Query, conjuncts
 
@@ -315,6 +315,8 @@ class CostModel:
         self.stats = stats
         self.page_size = max(1, int(page_size))
         self.adt_registry = adt_registry
+        #: Index stats read by the current :meth:`decide` call.
+        self._index_stats: Dict[str, Any] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -330,6 +332,7 @@ class CostModel:
         ``ordered`` is the planner's (already soundness-checked)
         :class:`~repro.query.planner.IndexOrderScan` candidate or None.
         """
+        self._index_stats = {}
         total_rows = 0.0
         scan_pages = 0.0
         for cls in sorted(scope):
@@ -476,7 +479,14 @@ class CostModel:
         index = self.indexes.find_index(query.target_class, steps, scope)
         if index is None:
             return None
-        return self.stats.index_stats.get(index.name)
+        return self._index_stat(index.name)
+
+    def _index_stat(self, name: str) -> Optional[Any]:
+        """``stats.index_stats.get(name)``, read at most once per
+        :meth:`decide` call: a live stat walks the index's tree."""
+        if name not in self._index_stats:
+            self._index_stats[name] = self.stats.index_stats.get(name)
+        return self._index_stats[name]
 
     # -- candidates --------------------------------------------------------
 
@@ -520,7 +530,7 @@ class CostModel:
         )
         if index is None:
             return None
-        stat = self.stats.index_stats.get(index.name)
+        stat = self._index_stat(index.name)
         if stat is None:
             # An index the catalog has never seen would mean the epoch
             # moved, which the staleness gate catches first; be safe.
@@ -587,7 +597,7 @@ class CostModel:
         index = self.indexes.find_index(query.target_class, steps, scope)
         if index is None:
             return None
-        stat = self.stats.index_stats.get(index.name)
+        stat = self._index_stat(index.name)
         if stat is None:
             return None
         low, include_low, high, include_high = bounds

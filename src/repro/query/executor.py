@@ -20,7 +20,6 @@ from ..core.oid import OID
 from ..obs.metrics import MetricsRegistry
 from .ast import AdtPredicate, Query
 from .operators import ObjectKernel, Pipeline, compile_plan
-from .paths import Deref
 from .planner import Plan
 
 ScanClass = Callable[[str], Iterable[ObjectState]]
@@ -72,42 +71,58 @@ class Executor:
 
     def __init__(
         self,
-        deref: Deref,
-        scan_class: ScanClass,
+        deref: Callable[..., Optional[ObjectState]],
+        scan_class: Callable[..., Iterable[ObjectState]],
         send: Optional[Sender] = None,
         adt_eval: Optional[Callable[[AdtPredicate, ObjectState], bool]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        #: ``deref(oid, read)`` and ``scan_class(class_name, read)``:
+        #: storage reads that decode only the attributes named in
+        #: ``read`` (None: whole objects).
+        self._deref = deref
         self._scan_class = scan_class
         self._send = send
         self._adt_eval = adt_eval
-        self.kernel = ObjectKernel(deref, send, adt_eval)
         registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self._m_examined = registry.counter("query.rows_examined")
         self._m_matched = registry.counter("query.rows_matched")
         self._m_probes = registry.counter("query.index_probes")
 
-    def pipeline(self, plan: Plan, snapshot=None) -> Pipeline:
+    def pipeline(self, plan: Plan, snapshot=None, read=None) -> Pipeline:
         """Compile (but do not open) the physical pipeline for a plan.
 
         With a :class:`~repro.versions.store.SnapshotView`, the leaf
         scan and every dereference resolve through the snapshot instead
         of current storage, and index access paths widen their
         candidates so they stay exact under it (see
-        :func:`~repro.query.operators.compile_plan`).
+        :func:`~repro.query.operators.compile_plan`).  With a ``read``
+        set, the scan and every dereference decode only the attributes
+        it names, so the rows are partial states: only :meth:`execute`,
+        which keeps them inside, passes one.
         """
         if snapshot is None:
-            return compile_plan(plan, self.kernel, self._scan_class)
-        kernel = ObjectKernel(snapshot.deref, self._send, self._adt_eval)
-        return compile_plan(plan, kernel, snapshot.scan, versions=snapshot)
+            deref, scan = self._deref, self._scan_class
+        else:
+            deref, scan = snapshot.deref, snapshot.scan
+        if read is not None:
+            full_deref, full_scan = deref, scan
+            deref = lambda oid: full_deref(oid, read)  # noqa: E731
+            scan = lambda class_name: full_scan(class_name, read)  # noqa: E731
+        kernel = ObjectKernel(deref, self._send, self._adt_eval)
+        return compile_plan(plan, kernel, scan, versions=snapshot)
 
     def execute(
         self, plan: Plan, timed: bool = False, snapshot=None
     ) -> ResultSet:
         """Run a plan.  With ``timed``, operators also accumulate
         per-stage wall-clock (EXPLAIN ANALYZE reads it off the chain).
+
+        The scan and dereferences decode only the plan's read set; the
+        partial states this makes never leave this method — the result
+        holds OIDs and projected or aggregated rows.
         """
-        pipeline = self.pipeline(plan, snapshot=snapshot)
+        pipeline = self.pipeline(plan, snapshot=snapshot, read=plan.read_set)
         query = plan.query
         if timed:
             pipeline.set_timed()

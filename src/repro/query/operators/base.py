@@ -140,10 +140,9 @@ class ObjectKernel:
     def row_class(self, row: Any) -> Optional[str]:
         return row.class_name
 
-    def matches(self, expr: Expr, row: Any) -> bool:
-        return algebra.evaluate_predicate(
-            expr, row, self.deref, self.send, self.adt_eval
-        )
+    def compile(self, expr: Expr) -> algebra.Predicate:
+        """The WHERE as one closure over ``(row, kernel)``."""
+        return algebra.compile_predicate(expr)
 
     def sort(
         self,

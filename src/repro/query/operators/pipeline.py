@@ -158,7 +158,9 @@ def snapshot_candidates(
         after = added()
         if before is None or after is None:
             return [
-                state.oid for cls in sorted(scope) for state in versions.scan(cls)
+                state.oid
+                for cls in sorted(scope)
+                for state in versions.scan(cls, frozenset())
             ]
         if not before and not after:
             return found
@@ -201,8 +203,11 @@ def compile_plan(plan: Plan, kernel, scan_class, versions=None) -> Pipeline:
         source = DerefOp(probe, kernel.deref)
 
     # The FULL predicate is re-checked — index probes give candidates,
-    # not answers; current state decides.
-    filter_op = FilterOp(source, kernel, scope, query.where)
+    # not answers; current state decides.  It is compiled once per plan.
+    predicate = plan.predicate
+    if predicate is None and query.where is not None:
+        predicate = plan.predicate = kernel.compile(query.where)
+    filter_op = FilterOp(source, kernel, scope, query.where, predicate)
     root: PhysicalOperator = filter_op
 
     if query.aggregates:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..algebra import Predicate
 from ..ast import Expr, Query
 from ..paths import Deref
 from .base import PhysicalOperator
@@ -20,8 +21,10 @@ from .base import PhysicalOperator
 class FilterOp(PhysicalOperator):
     """Scope check + full predicate re-check against current state.
 
-    ``rows_out`` is the executor's classic ``matched`` counter; the
-    child's ``rows_out`` is ``examined``.
+    The predicate is ``where`` compiled by the kernel into one closure
+    (``predicate``, when the caller already holds it compiled — a plan
+    compiles its WHERE once).  ``rows_out`` is the executor's classic
+    ``matched`` counter; the child's ``rows_out`` is ``examined``.
     """
 
     name = "filter"
@@ -32,21 +35,28 @@ class FilterOp(PhysicalOperator):
         kernel,
         scope: Optional[Set[str]],
         where: Optional[Expr],
+        predicate: Optional[Predicate] = None,
     ) -> None:
         super().__init__(child)
         self._kernel = kernel
         self.scope = scope
         self.where = where
+        if predicate is None and where is not None:
+            predicate = kernel.compile(where)
+        self._predicate = predicate
         self.detail = repr(where) if where is not None else "true"
 
     def _next(self) -> Optional[Any]:
+        child, kernel, scope, predicate = (
+            self.child, self._kernel, self.scope, self._predicate
+        )
         while True:
-            row = self.child.next()
+            row = child.next()
             if row is None:
                 return None
-            if self.scope is not None and self._kernel.row_class(row) not in self.scope:
+            if scope is not None and kernel.row_class(row) not in scope:
                 continue
-            if self.where is not None and not self._kernel.matches(self.where, row):
+            if predicate is not None and not predicate(row, kernel):
                 continue
             return row
 

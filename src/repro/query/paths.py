@@ -9,6 +9,9 @@ the standard reading for OODB path queries.
 
 from __future__ import annotations
 
+import fnmatch
+import operator
+import re
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.obj import ObjectState
@@ -17,6 +20,8 @@ from ..core.schema import Schema
 from ..errors import QueryError
 
 Deref = Callable[[OID], Optional[ObjectState]]
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def evaluate_path(
@@ -74,53 +79,64 @@ def validate_path(schema: Schema, target_class: str, steps: Sequence[str]) -> st
 
 def compare(op: str, candidate: Any, literal: Any) -> bool:
     """Apply one comparison operator to a terminal value and a literal."""
-    if op == "=":
-        return _eq(candidate, literal)
+    return compile_test(op, literal)(candidate)
+
+
+def compile_test(op: str, literal: Any) -> Callable[[Any], bool]:
+    """``compare(op, candidate, literal)`` as a one-argument closure,
+    with the literal's type checks and the LIKE pattern done once.
+
+    Equality never equates an OID with a non-OID, nor a bool with a
+    non-bool; ordering is false against None and on a TypeError; LIKE
+    is SQL LIKE (``%`` any run, ``_`` any one character) on strings."""
+    if op in ("=", "contains"):
+        # contains compares a set-valued terminal against a member
+        # literal; the path's fan-out already happened, so it is =.
+        return _equals(literal)
     if op == "!=":
-        return not _eq(candidate, literal)
-    if op == "like":
-        return _like(candidate, literal)
+        equals = _equals(literal)
+        return lambda candidate: not equals(candidate)
     if op == "in":
-        return any(_eq(candidate, item) for item in literal)
-    if op == "contains":
-        # contains compares a set-valued terminal against a member literal;
-        # by the time we're called fan-out already happened, so it is =.
-        return _eq(candidate, literal)
-    if candidate is None or literal is None:
-        return False
-    try:
-        if op == "<":
-            return candidate < literal
-        if op == "<=":
-            return candidate <= literal
-        if op == ">":
-            return candidate > literal
-        if op == ">=":
-            return candidate >= literal
-    except TypeError:
-        return False
-    raise QueryError("unknown comparison operator %r" % (op,))
+        members = [_equals(item) for item in literal]
+        return lambda candidate: any(equals(candidate) for equals in members)
+    if op == "like":
+        if not isinstance(literal, str):
+            return lambda candidate: False
+        match = re.compile(fnmatch.translate(like_pattern(literal))).match
+        return lambda candidate: isinstance(candidate, str) and match(candidate) is not None
+    ordering = _ORDERINGS.get(op)
+    if ordering is None:
+        raise QueryError("unknown comparison operator %r" % (op,))
+    if literal is None:
+        return lambda candidate: False
+
+    def ordered(candidate: Any) -> bool:
+        if candidate is None:
+            return False
+        try:
+            return ordering(candidate, literal)
+        except TypeError:
+            return False
+
+    return ordered
 
 
-def _eq(candidate: Any, literal: Any) -> bool:
-    if isinstance(candidate, OID) or isinstance(literal, OID):
-        return isinstance(candidate, OID) and isinstance(literal, OID) and candidate == literal
-    if isinstance(candidate, bool) != isinstance(literal, bool):
-        return False
-    return candidate == literal
+def _equals(literal: Any) -> Callable[[Any], bool]:
+    if isinstance(literal, OID):
+        return lambda candidate: isinstance(candidate, OID) and candidate == literal
+    if isinstance(literal, bool):
+        return lambda candidate: candidate is literal
+    return lambda candidate: candidate == literal and not isinstance(
+        candidate, (bool, OID)
+    )
 
 
-def _like(candidate: Any, pattern: Any) -> bool:
-    """SQL LIKE with ``%`` (any run) and ``_`` (any one character)."""
-    if not isinstance(candidate, str) or not isinstance(pattern, str):
-        return False
-    import fnmatch
-
-    translated = (
+def like_pattern(pattern: str) -> str:
+    """A SQL LIKE pattern as an ``fnmatch`` pattern."""
+    return (
         pattern.replace("\\", "\\\\")
         .replace("*", "[*]")
         .replace("?", "[?]")
         .replace("%", "*")
         .replace("_", "?")
     )
-    return fnmatch.fnmatchcase(candidate, translated)

@@ -12,13 +12,14 @@ scan wins when no index is cheaper (experiment E7's crossover).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.schema import Schema
 from ..errors import PlanningError
 from ..index.base import Index
 from ..index.manager import IndexManager
 from ..obs.stats import LiveStatistics
+from .algebra import Predicate, read_set
 from .ast import AdtPredicate, Comparison, Expr, Query, conjuncts
 from .cost import CostModel
 from .paths import validate_path
@@ -132,6 +133,9 @@ class SystemScan(AccessPath):
         self.description = "system(%s)" % view
 
 
+_UNSET = object()
+
+
 class Plan:
     """An executable plan: access path + residual filter + finishing."""
 
@@ -161,6 +165,19 @@ class Plan:
         #: which have no access path to choose.  EXPLAIN renders it as
         #: the ``-- cost --`` section.
         self.cost = None
+        #: The WHERE compiled by the first pipeline built from this plan
+        #: and reused by every later one.
+        self.predicate: Optional[Predicate] = None
+        self._read_set: Any = _UNSET
+
+    @property
+    def read_set(self) -> Optional[FrozenSet[str]]:
+        """The attribute names the plan's scan and dereferences decode
+        (None: whole objects), computed on first use; see
+        :func:`repro.query.algebra.read_set`."""
+        if self._read_set is _UNSET:
+            self._read_set = read_set(self.query)
+        return self._read_set
 
     def explain(self) -> str:
         lines = [

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, Iterator, List, Optional
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -37,6 +37,9 @@ from .serializer import decode_object, encode_object
 _LONG_MAGIC = b"\xffKIMLONG"
 _STUB_HEAD = struct.Struct(">Q")  # oid value
 _CHUNK_REF = struct.Struct(">IH")  # page id, slot
+
+#: The attribute names a read decodes; None decodes whole objects.
+ReadSet = Optional[AbstractSet[str]]
 
 #: Name of the heap holding overflow chunks.
 OVERFLOW_HEAP = "__overflow__"
@@ -233,11 +236,11 @@ class StorageManager:
             rids.append(RID(page_id, slot))
         return oid_value, class_name, rids
 
-    def _assemble(self, body: bytes) -> ObjectState:
+    def _assemble(self, body: bytes, read: ReadSet = None) -> ObjectState:
         _oid_value, _class_name, rids = self._read_stub(body)
         heap = self.heap_for(OVERFLOW_HEAP)
         data = b"".join(heap.read(rid) for rid in rids)
-        return decode_object(data)
+        return decode_object(data, read)
 
     def _free_chunks(self, body: bytes) -> None:
         if not self._is_stub(body):
@@ -254,10 +257,10 @@ class StorageManager:
             return self._write_long(data, state.oid, state.class_name)
         return data
 
-    def _decode_record(self, body: bytes) -> ObjectState:
-        if self._is_stub(body):
-            return self._assemble(body)
-        return decode_object(body)
+    def _decode_record(self, body: bytes, read: ReadSet = None) -> ObjectState:
+        if body.startswith(_LONG_MAGIC):
+            return self._assemble(body, read)
+        return decode_object(body, read)
 
     # -- heap management -------------------------------------------------------
 
@@ -301,10 +304,12 @@ class StorageManager:
         self.directory.add(state.oid, state.class_name, rid)
         return rid
 
-    def load(self, oid: OID) -> ObjectState:
+    def load(self, oid: OID, read: ReadSet = None) -> ObjectState:
+        """The stored state of ``oid``: whole, or only the attributes
+        named in ``read`` (see :func:`~repro.storage.serializer.decode_object`)."""
         entry = self.directory.lookup(oid)
         heap = self.heap_for(entry.class_name)
-        return self._decode_record(heap.read(entry.rid))
+        return self._decode_record(heap.read(entry.rid), read)
 
     def contains(self, oid: OID) -> bool:
         return oid in self.directory
@@ -341,15 +346,16 @@ class StorageManager:
         self.directory.remove(oid)
         return state
 
-    def scan_class(self, class_name: str) -> Iterator[ObjectState]:
-        """All direct instances of one class, in physical (page) order."""
+    def scan_class(self, class_name: str, read: ReadSet = None) -> Iterator[ObjectState]:
+        """All direct instances of one class, in physical (page) order;
+        whole, or only the attributes named in ``read``."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return iter(())
         heap = self._heaps[class_name]
 
         def _iter() -> Iterator[ObjectState]:
             for _rid, body in heap.scan():
-                yield self._decode_record(body)
+                yield self._decode_record(body, read)
 
         return _iter()
 

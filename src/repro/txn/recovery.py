@@ -7,6 +7,10 @@ physical phase in front:
    page is re-imaged from the newest PAGE_IMAGE record in the log.  The
    buffer pool logs a full page image before every write-back, so any
    page whose write tore has a durable image to restore.
+   Before it, recovery refuses (``RecoveryError``) a logical log shorter
+   than a length a sync forced durable before a page write-back (the
+   ``WAL_MARK`` records in the companion log): such a log lost records
+   whose effects the data pages may already hold.
 1. **Analysis** — scan the log from the last CHECKPOINT, collecting the
    set of transactions with a COMMIT record (winners) and those without
    (losers).
@@ -32,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..core.obj import ObjectState
+from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..storage.manager import StorageManager
 from .wal import (
@@ -101,6 +106,19 @@ def recover(
     # holds only the losers' decoded mutations (each pass still reads the
     # log file whole).
 
+    # Refuse first, before anything is written: a logical log shorter
+    # than a length once forced durable before a page write-back lost
+    # records the data pages may already reflect, so no replay of what
+    # is left can be trusted to be consistent.
+    images, forced = wal.physical_log()
+    size = wal.logical_size()
+    if size < forced:
+        raise RecoveryError(
+            "write-ahead log is %d bytes, but %d bytes of it were forced "
+            "durable before a page write-back: durable log records are lost"
+            % (size, forced)
+        )
+
     # Pass 1: analysis.
     start = 0
     seen: Set[int] = set()
@@ -123,9 +141,6 @@ def recover(
     # Physical repair, before any redo.  Re-extend the file over any
     # allocations the crash reverted, then re-image pages whose checksums
     # fail from the newest PAGE_IMAGE each page has in the companion log.
-    images: Dict[int, bytes] = {}
-    for record in wal.page_images():
-        images[record.page_id] = record.page_data
     report.pages_reallocated = storage.ensure_heap_pages()
     report.pages_reimaged = storage.repair_pages(images)
     if report.pages_reimaged or report.pages_reallocated or storage.directory_stale:

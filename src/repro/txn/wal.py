@@ -10,11 +10,12 @@ checkpoint and rolls back losers.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 import time
 import zlib
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.obj import ObjectState
 from ..errors import RecoveryError
@@ -38,6 +39,12 @@ CHECKPOINT = 7
 #: interleaving 4 KiB snapshots with logical records would bloat replay
 #: and couple two log streams with independent lifecycles.
 PAGE_IMAGE = 8
+#: A length of the logical log, appended to the companion log by each
+#: :meth:`WriteAheadLog.sync` once the logical log is durable up to it.
+#: Recovery refuses a logical log shorter than any such mark: the bytes
+#: it lost had been forced durable before a page write-back, so the data
+#: pages may hold effects the log no longer describes.
+WAL_MARK = 9
 
 _TYPE_NAMES = {
     BEGIN: "BEGIN",
@@ -52,6 +59,7 @@ _TYPE_NAMES = {
 
 _FRAME = struct.Struct(">IIBQ")  # crc, payload length, type, txn id
 _PAGE_HEAD = struct.Struct(">I")  # page id prefix of a PAGE_IMAGE payload
+_MARK = struct.Struct(">Q")  # a WAL_MARK payload: logical log bytes
 
 
 class LogRecord:
@@ -372,21 +380,30 @@ class WriteAheadLog:
         self._image_bytes.inc(_FRAME.size + len(payload))
 
     def sync(self) -> None:
-        """Force both logs (physical first, then logical) to stable storage.
+        """Force both logs to stable storage, then record what was forced.
 
         Called by the buffer pool before page write-backs — this is the
         write-ahead rule at both levels: a data page never reaches disk
         ahead of its full-page image *or* of the logical records that
-        produced it.
+        produced it.  The logical log goes first; only once it is
+        durable is its length appended to the companion log as a
+        ``WAL_MARK``, in the same fsync as the images — so a crash
+        between the two fsyncs can lose the mark but never leave one
+        that overstates the logical log.
         """
         if self._file is None:
             return
         with self._wal_mutex:
-            if self._pages_file is not None:
-                self._pages_file.flush()
-                fsync_file(self._pages_file)
             self._file.flush()
             fsync_file(self._file)
+            if self._pages_file is not None:
+                payload = _MARK.pack(self._file.tell())
+                crc = zlib.crc32(payload + bytes([WAL_MARK]))
+                self._pages_file.write(
+                    _FRAME.pack(crc, len(payload), WAL_MARK, 0) + payload
+                )
+                self._pages_file.flush()
+                fsync_file(self._pages_file)
             self._syncs.inc()
 
     # -- reading ------------------------------------------------------------
@@ -432,16 +449,21 @@ class WriteAheadLog:
             pos = frame_end
         self._next_lsn = max(self._next_lsn, lsn)
 
-    def page_images(self) -> Iterator[LogRecord]:
-        """PAGE_IMAGE records from the companion log, oldest first.
+    def physical_log(self) -> Tuple[Dict[int, bytes], int]:
+        """The companion log read once: the newest image of each page,
+        and the longest logical-log length a sync forced durable since
+        the last truncation (0 when none).
 
         The same torn-tail tolerance as :meth:`replay`: a partial or
-        checksum-failing final frame ends iteration (counted, not
+        checksum-failing final frame ends reading (counted, not
         raised); corruption before the tail raises RecoveryError.
         """
+        images: Dict[int, bytes] = {}
+        forced = 0
         if self._pages_file is None:
-            yield from list(self._page_images)
-            return
+            for record in self._page_images:
+                images[record.page_id] = record.page_data
+            return images, forced
         with self._wal_mutex:
             self._pages_file.flush()
         with open(self.pages_path, "rb") as handle:
@@ -464,12 +486,25 @@ class WriteAheadLog:
                 raise RecoveryError(
                     "corrupt page-image record at offset %d" % pos
                 )
-            if record_type != PAGE_IMAGE:
+            if record_type == PAGE_IMAGE:
+                record = LogRecord.from_payload(record_type, txn_id, payload, -1)
+                images[record.page_id] = record.page_data
+            elif record_type == WAL_MARK and length == _MARK.size:
+                forced = max(forced, _MARK.unpack(payload)[0])
+            else:
                 raise RecoveryError(
                     "unexpected record type %d in page-image log" % record_type
                 )
-            yield LogRecord.from_payload(record_type, txn_id, payload, -1)
             pos = frame_end
+        return images, forced
+
+    def logical_size(self) -> int:
+        """Bytes in the logical log file (records in memory mode)."""
+        if self._file is None:
+            return len(self._records)
+        with self._wal_mutex:
+            self._file.flush()
+        return os.path.getsize(self.path)
 
     def _note_torn_tail(self, path: Optional[str], offset: int, size: int, reason: str) -> None:
         """Count (and trace) a torn tail truncated during replay.
@@ -489,19 +524,17 @@ class WriteAheadLog:
             )
 
     def truncate(self) -> None:
-        """Discard both logs (after a checkpoint made data pages durable)."""
+        """Discard both logs (after a checkpoint made data pages durable).
+
+        The companion log goes first: a crash between the two leaves an
+        intact logical log and no ``WAL_MARK`` that could outgrow it.
+        """
         self._truncates.inc()
         if self._file is None:
             self._records.clear()
             self._page_images.clear()
             return
         with self._wal_mutex:
-            self._file.close()
-            self._file = open(self.path, "wb")
-            self._file.close()
-            self._file = wrap_file(
-                open(self.path, "ab"), "wal:%s" % self.path, self._registry
-            )
             self._pages_file.close()
             self._pages_file = open(self.pages_path, "wb")
             self._pages_file.close()
@@ -509,6 +542,12 @@ class WriteAheadLog:
                 open(self.pages_path, "ab"),
                 "wal-pages:%s" % self.pages_path,
                 self._registry,
+            )
+            self._file.close()
+            self._file = open(self.path, "wb")
+            self._file.close()
+            self._file = wrap_file(
+                open(self.path, "ab"), "wal:%s" % self.path, self._registry
             )
 
     @property

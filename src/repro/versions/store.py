@@ -386,9 +386,9 @@ class SnapshotView:
         self,
         store: VersionStore,
         snapshot: Snapshot,
-        deref: Callable[[OID], Optional[ObjectState]],
-        scan: Callable[[str], Iterator[ObjectState]],
-        coerce: Callable[[ObjectState], ObjectState],
+        deref: Callable[..., Optional[ObjectState]],
+        scan: Callable[..., Iterator[ObjectState]],
+        coerce: Callable[..., ObjectState],
         exists: Callable[[OID], bool],
         ephemeral: bool = False,
     ) -> None:
@@ -405,21 +405,28 @@ class SnapshotView:
     def ts(self) -> int:
         return self.snapshot.ts
 
-    def deref(self, oid: OID) -> Optional[ObjectState]:
-        state = self.store.resolve(oid, self.snapshot, self._base_deref(oid))
-        if state is None:
-            return None
-        return self._coerce(state)
+    def deref(self, oid: OID, read=None) -> Optional[ObjectState]:
+        """``oid`` as the snapshot sees it; ``read`` as for the scan."""
+        current = self._base_deref(oid, read)
+        state = self.store.resolve(oid, self.snapshot, current)
+        if state is None or state is current:
+            return state
+        return self._coerce(state, read)
 
-    def scan(self, class_name: str) -> Iterator[ObjectState]:
+    def scan(self, class_name: str, read=None) -> Iterator[ObjectState]:
+        """The snapshot's instances of ``class_name``, coerced; with a
+        read set, states hold only the attributes it names (a
+        before-image is cut down to them too)."""
         seen: Set[OID] = set()
-        for state in self._base_scan(class_name):
+        for state in self._base_scan(class_name, read):
             seen.add(state.oid)
             visible = self.store.resolve(state.oid, self.snapshot, state)
-            if visible is not None:
-                yield self._coerce(visible)
+            if visible is state:
+                yield state
+            elif visible is not None:
+                yield self._coerce(visible, read)
         for state in self.store.resurrected(class_name, self.snapshot, seen):
-            yield self._coerce(state)
+            yield self._coerce(state, read)
 
     def changed(self, classes) -> Set[OID]:
         """OIDs of ``classes`` whose snapshot state may differ from

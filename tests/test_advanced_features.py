@@ -1,12 +1,13 @@
 """Lock escalation, range estimation, change_domain, explain analyze,
 paged relational tables, WAL-truncation fuzzing."""
 
+import os
 import random
 
 import pytest
 
 from repro import AttributeDef, Database
-from repro.errors import SchemaEvolutionError
+from repro.errors import RecoveryError, SchemaEvolutionError
 from repro.evolution import SchemaEvolution
 from repro.index.btree import BTree
 from repro.core.oid import OID
@@ -14,6 +15,8 @@ from repro.obs.stats import live_index_stat
 from repro.query.cost import range_estimate
 from repro.relational import RelationalEngine
 from repro.storage import StorageManager
+from repro.txn.recovery import recover
+from repro.txn.wal import WriteAheadLog
 
 
 class TestLockEscalation:
@@ -209,41 +212,111 @@ class TestPagedRelationalTables:
 
 
 class TestWalTruncationFuzz:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_any_log_prefix_recovers_consistently(self, tmp_path, seed):
-        """Cutting the WAL at a random byte must never crash recovery and
-        must yield a transaction-consistent prefix of the history."""
-        import os
+    """Cut the logical WAL at every byte and recover.
 
-        path = str(tmp_path / ("fuzz-%d.pages" % seed))
+    In the failure model a crash loses only bytes that were never
+    synced, and every sync of the log precedes a page write-back.  So
+    with data pages as of the last checkpoint, any cut is a possible
+    crash and must recover a committed prefix of the history.  Once
+    pages were written back, the log up to the sync before them is
+    durable; cutting into it is outside the model, and recovery must
+    still reach a committed prefix or raise ``RecoveryError`` — never a
+    state where one transaction is half undone.
+    """
+
+    SUFFIXES = ("", ".meta", ".wal", ".wal.pages")
+
+    def _history(self, path, seed, flush_pages):
+        """Ten committed batches after a checkpoint: the committed
+        states (oldest first, from empty) and the files a crash leaves."""
         db = Database(path, sync_on_commit=False)
         db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
         db.checkpoint()
-        committed_states = []  # snapshot after each commit
+        checkpointed = self._read(path)
+        committed = [{}]
         state = {}
         rng = random.Random(seed)
-        for batch in range(10):
+        for _batch in range(10):
             with db.transaction():
                 for _ in range(rng.randrange(1, 4)):
                     handle = db.new("Item", {"n": rng.randrange(100)})
                     state[handle.oid] = handle["n"]
-            committed_states.append(dict(state))
-        db.storage.buffer.flush_all()
-        db.storage.save_metadata()
+            committed.append(dict(state))
+        if flush_pages:
+            db.storage.buffer.flush_all()
+            db.storage.save_metadata()
         db.storage.pager.close()
         db.wal.close()
+        files = self._read(path)
+        if not flush_pages:
+            # The crash lost every page write since the checkpoint.
+            files[""] = checkpointed[""]
+            files[".meta"] = checkpointed[".meta"]
+        return committed, files
 
-        wal_path = path + ".wal"
-        full = open(wal_path, "rb").read()
-        cut = rng.randrange(1, len(full))
-        with open(wal_path, "wb") as handle:
-            handle.write(full[:cut])
+    def _read(self, path):
+        files = {}
+        for suffix in self.SUFFIXES:
+            with open(path + suffix, "rb") as handle:
+                files[suffix] = handle.read()
+        return files
 
-        reopened = Database(path)
-        survived = {
-            s.oid: s.values["n"] for s in reopened.storage.scan_class("Item")
-        }
-        assert survived in ([{}] + committed_states), (
-            "recovered state is not a committed prefix (cut at %d)" % cut
-        )
-        reopened.close()
+    def _sweep(self, path, files):
+        """Recover from every cut of the WAL, in order; yields the cut
+        and the recovered state, or the RecoveryError raised."""
+        restore = True
+        for cut in range(len(files[".wal"]) + 1):
+            for suffix, data in files.items():
+                if suffix == ".wal" or restore:
+                    with open(path + suffix, "wb") as handle:
+                        handle.write(data[:cut] if suffix == ".wal" else data)
+            storage = StorageManager(path)
+            wal = WriteAheadLog(path + ".wal")
+            try:
+                recover(wal, storage)
+                restore = True
+                outcome = {s.oid: s.values["n"] for s in storage.scan_class("Item")}
+            except RecoveryError as exc:
+                # Refused before writing anything: only the WAL changes
+                # for the next cut.
+                restore = False
+                outcome = exc
+            finally:
+                storage.pager.close()
+                wal.close()
+            yield cut, outcome
+
+    @pytest.fixture(autouse=True)
+    def _no_fsync(self, monkeypatch):
+        # Each cut rewrites every file from memory, so durability of the
+        # recoveries themselves is moot; skipping their fsyncs keeps the
+        # sweep fast.
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_cut_recovers_a_committed_prefix(self, tmp_path, seed):
+        """Pages as of the checkpoint: every cut is an in-model crash."""
+        path = str(tmp_path / ("cut-%d.pages" % seed))
+        committed, files = self._history(path, seed, flush_pages=False)
+        for cut, survived in self._sweep(path, files):
+            assert survived in committed, (
+                "recovered state is not a committed prefix (cut at %d)" % cut
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_any_log_prefix_recovers_consistently(self, tmp_path, seed):
+        """Pages written back, then the durable log cut: a committed
+        prefix or a typed error."""
+        path = str(tmp_path / ("fuzz-%d.pages" % seed))
+        committed, files = self._history(path, seed, flush_pages=True)
+        refused = 0
+        for cut, survived in self._sweep(path, files):
+            if isinstance(survived, RecoveryError):
+                refused += 1
+                continue
+            assert survived in committed, (
+                "recovered state is not a committed prefix (cut at %d)" % cut
+            )
+        # The whole log was forced before the pages were written back,
+        # so only the uncut log recovers.
+        assert refused == len(files[".wal"])

@@ -50,6 +50,22 @@ class TestAttributeChanges:
         edb.update(vehicle.oid, {"color": "red"})
         assert edb.get(vehicle.oid)["color"] == "red"
 
+    def test_index_after_reopen_sees_added_defaults(self, tmp_path):
+        """An index built after a reopen keys stored instances by their
+        coerced values, as a scan reads them."""
+        path = str(tmp_path / "evolved.pages")
+        db = Database(path)
+        db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
+        for i in range(5):
+            db.new("Item", {"n": i})
+        SchemaEvolution(db).add_attribute("Item", AttributeDef("m", "Integer", default=7))
+        db.close()
+        db = Database(path)
+        index = db.create_class_index("Item", "m")
+        assert len(index.lookup_eq(7)) == 5
+        assert index.lookup_eq(None) == []
+        db.close()
+
     def test_drop_attribute_lazy(self, edb, evo):
         vehicle = edb.new("Vehicle", {"weight": 42})
         evo.drop_attribute("Vehicle", "weight")

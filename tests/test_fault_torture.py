@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro import AttributeDef, Database
-from repro.errors import KimDBError, PageCorruptError
+from repro.errors import KimDBError, PageCorruptError, RecoveryError
 from repro.faults import FaultPlan, FaultyFile, InjectedCrash, wrap_file
 from repro.storage.page import SlottedPage
 
@@ -264,6 +264,102 @@ class TestChecksumAndRepair:
         assert "fault.page_corruptions" in names
         assert "fault.wal_torn_tail" in names
         db.close()
+
+
+class TestForcedLogLength:
+    """Recovery refuses a logical log shorter than a length forced
+    durable before a page write-back — and only such a log."""
+
+    def _committed(self, path, n, **kwargs):
+        db = _fresh_db(path, sync_on_commit=False, **kwargs)
+        for i in range(n):
+            with db.transaction():
+                db.new("Item", {"n": i})
+        return db, current_state(db)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_crash_between_the_two_log_fsyncs_recovers(self, tmp_path, seed):
+        """The logical log is forced first and its length recorded only
+        after; a crash at the companion log's fsync, whatever of its
+        unsynced writes survive, leaves a log recovery accepts."""
+        import repro.txn.wal as wal_module
+
+        path = str(tmp_path / ("between-%d.pages" % seed))
+        _setup(path)
+        plan = FaultPlan(seed)
+        real_fsync = wal_module.fsync_file
+        with plan:
+            db, expected = self._committed(path, 6)
+
+            def crash_at_companion_fsync(handle):
+                if handle is db.wal._pages_file:
+                    with plan._fault_mutex:
+                        plan._crash(None, None)
+                real_fsync(handle)
+
+            wal_module.fsync_file = crash_at_companion_fsync
+            try:
+                with pytest.raises(InjectedCrash):
+                    db.storage.buffer.flush_all()
+            finally:
+                wal_module.fsync_file = real_fsync
+        recovered = Database(path)
+        assert current_state(recovered) == expected
+        recovered.close()
+
+    def test_checkpoint_truncation_is_not_a_lost_log(self, tmp_path):
+        path = str(tmp_path / "truncated.pages")
+        _setup(path)
+        db, _ = self._committed(path, 4)
+        db.storage.buffer.flush_all()  # records a forced length
+        assert db.wal.physical_log()[1] > 0
+        db.checkpoint()
+        assert db.wal.physical_log()[1] == 0
+        with db.transaction():
+            db.new("Item", {"n": 99})
+        expected = current_state(db)
+        db.storage.pager.close()
+        db.wal.close()
+        recovered = Database(path)
+        assert current_state(recovered) == expected
+        recovered.close()
+
+    def test_crash_inside_truncation_keeps_the_log_usable(self, tmp_path, monkeypatch):
+        """Truncation empties the companion log first: a crash before
+        the logical log follows leaves no length to outgrow it."""
+        import repro.txn.wal as wal_module
+
+        path = str(tmp_path / "halfway.pages")
+        _setup(path)
+        db, expected = self._committed(path, 4)
+        db.storage.buffer.flush_all()
+        db.storage.save_metadata()
+
+        def crash(*_args, **_kwargs):
+            raise InjectedCrash("crash between the two log truncations")
+
+        monkeypatch.setattr(wal_module, "wrap_file", crash)
+        with pytest.raises(InjectedCrash):
+            db.wal.truncate()
+        monkeypatch.undo()
+        db.storage.pager.close()
+        db.wal.close()
+        recovered = Database(path)
+        assert current_state(recovered) == expected
+        recovered.close()
+
+    def test_lost_durable_records_are_refused(self, tmp_path):
+        path = str(tmp_path / "lost.pages")
+        _setup(path)
+        db, _ = self._committed(path, 4)
+        db.storage.buffer.flush_all()
+        db.storage.save_metadata()
+        db.storage.pager.close()
+        db.wal.close()
+        with open(path + ".wal", "r+b") as handle:
+            handle.truncate(os.path.getsize(path + ".wal") - 1)
+        with pytest.raises(RecoveryError, match="forced durable"):
+            Database(path)
 
 
 class TestFaultPrimitives:
